@@ -17,9 +17,7 @@ use ctr::sym;
 use ctr_baselines::{explore, PassiveValidator, ProductScheduler};
 use ctr_bench::{fmt_ns, log_growth_factor, power_law_exponent, time_mean, Table};
 use ctr_engine::scheduler::{Program, Scheduler};
-use ctr_runtime::{
-    CoarseRuntime, InstanceId, InstanceStatus, Runtime, RuntimeError, SharedRuntime,
-};
+use ctr_runtime::{InstanceId, Runtime};
 use ctr_workflow::{compile_modular, compile_triggers, Trigger, WorkflowSpec};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -89,7 +87,7 @@ fn main() {
 /// `timer_wheel/arm_cancel_1m` holds one million pending timers at once
 /// and cancels every token (`pending_peak` records the high-water
 /// mark). `timer_wheel/fleet_advance` fires one `after` timer per
-/// instance through `SharedRuntime::advance` — wheel pop, journal
+/// instance through `Runtime::advance` — wheel pop, journal
 /// append, and frontier dispatch on the same row.
 fn bench_timer_json(smoke: bool) {
     use ctr_runtime::TimerWheel;
@@ -169,7 +167,7 @@ fn bench_timer_json(smoke: bool) {
     // Fleet advance: one `after` gate per instance, fired through the
     // shared runtime (wheel pop + journal + frontier dispatch).
     let fleet = if smoke { 64 } else { 4_096 };
-    let rt = SharedRuntime::new();
+    let rt = Runtime::new();
     rt.deploy_source("workflow timed { graph a * b; after(b, 30s); }")
         .expect("deploy timed");
     for _ in 0..fleet {
@@ -687,11 +685,10 @@ fn bench_compile_json(smoke: bool) {
 /// flat in the journal length), an `eligible()` probe at the end of a long
 /// journal, a fleet of instances sharing one deployment, the
 /// `fleet_mt/<workload>x<threads>` family — the same fleet driven by
-/// concurrent client threads on the sharded runtime, with
-/// `fleet_mt_coarse/*` pinning the coarse-lock baseline it replaced —
-/// plus the engine-level `sched_hot/{eligible,fire_event,deadlock_probe}`
-/// hot paths of the incremental frontier and the `batch/<workload>xB`
-/// family driving `fire_batch`/`fire_many` in chunks of B.
+/// concurrent client threads — plus the engine-level
+/// `sched_hot/{eligible,fire_event,deadlock_probe}` hot paths of the
+/// incremental frontier and the `batch/<workload>xB` family driving
+/// `fire_batch`/`fire_many` in chunks of B.
 fn bench_exec_json(smoke: bool) {
     struct Record {
         name: String,
@@ -705,7 +702,7 @@ fn bench_exec_json(smoke: bool) {
 
     // Drives `fires` pipeline events through one instance.
     let mut single = |name: &str, fires: usize| {
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         rt.deploy_compiled("pipe", gen::pipeline_workflow(fires))
             .expect("pipeline compiles");
         let id = rt.start("pipe").expect("deployed");
@@ -736,7 +733,7 @@ fn bench_exec_json(smoke: bool) {
     {
         let fires = if smoke { 200 } else { 10_000 };
         let probes = if smoke { 50 } else { 1_000 };
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         rt.deploy_compiled("pipe", gen::pipeline_workflow(fires))
             .expect("pipeline compiles");
         let id = rt.start("pipe").expect("deployed");
@@ -772,7 +769,7 @@ fn bench_exec_json(smoke: bool) {
             .filter_map(ctr::term::Atom::as_event)
             .map(|s| s.as_str().to_owned())
             .collect();
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         rt.deploy_compiled("layered", compiled.goal.clone())
             .expect("compiles");
         let ids: Vec<_> = (0..fleet)
@@ -798,10 +795,8 @@ fn bench_exec_json(smoke: bool) {
     }
 
     // Multi-threaded fleets: T client threads fire disjoint instance
-    // sets against one shared handle. `fleet_mt/*` uses the sharded
-    // runtime (per-instance locks — threads should not contend);
-    // `fleet_mt_coarse/*` is the same workload on the retired
-    // single-mutex design, recorded as the scaling baseline.
+    // sets against one shared handle (per-instance locks — threads
+    // should not contend).
     {
         let fleet = if smoke { 8 } else { 64 };
         let goal = gen::layered_workflow(16, 2);
@@ -818,33 +813,18 @@ fn bench_exec_json(smoke: bool) {
 
         let threads_list: &[usize] = if smoke { &[1, 4] } else { &[1, 4, 8] };
         for &threads in threads_list {
-            for coarse in [false, true] {
-                let handle: Box<dyn FleetHandle> = if coarse {
-                    let rt = CoarseRuntime::new();
-                    rt.deploy_compiled("layered", compiled.goal.clone())
-                        .expect("compiles");
-                    Box::new(rt)
-                } else {
-                    let rt = SharedRuntime::new();
-                    rt.deploy_compiled("layered", compiled.goal.clone())
-                        .expect("compiles");
-                    Box::new(rt)
-                };
-                let family = if coarse {
-                    "fleet_mt_coarse"
-                } else {
-                    "fleet_mt"
-                };
-                let (wall, fires) = run_fleet_mt(&*handle, fleet, threads, &trace);
-                records.push(Record {
-                    name: format!("{family}/{workload}x{threads}"),
-                    instances: fleet,
-                    total_fires: fires,
-                    wall_ns: wall.as_nanos(),
-                    fires_per_sec: (fires as f64 / wall.as_secs_f64()) as u64,
-                    replayed_steps: 0,
-                });
-            }
+            let rt = Runtime::new();
+            rt.deploy_compiled("layered", compiled.goal.clone())
+                .expect("compiles");
+            let (wall, fires) = run_fleet_mt(&rt, fleet, threads, &trace);
+            records.push(Record {
+                name: format!("fleet_mt/{workload}x{threads}"),
+                instances: fleet,
+                total_fires: fires,
+                wall_ns: wall.as_nanos(),
+                fires_per_sec: (fires as f64 / wall.as_secs_f64()) as u64,
+                replayed_steps: 0,
+            });
         }
     }
 
@@ -924,15 +904,15 @@ fn bench_exec_json(smoke: bool) {
         });
     }
 
-    // Batched firing through the runtimes: whole chunks commit under one
-    // instance resolution (and, for `fire_many`, one shard-lock pass).
+    // Batched firing through the runtime: whole chunks commit under one
+    // instance resolution (and, for `fire_many`, one `fire_runs` burst).
     {
         use ctr_runtime::FireOutcome;
 
         // Single-instance chunks through Runtime::fire_batch.
         let fires = if smoke { 200 } else { 10_000 };
         let chunk = if smoke { 16 } else { 64 };
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         rt.deploy_compiled("pipe", gen::pipeline_workflow(fires))
             .expect("pipeline compiles");
         let id = rt.start("pipe").expect("deployed");
@@ -953,7 +933,7 @@ fn bench_exec_json(smoke: bool) {
             replayed_steps: rt.replayed_steps(),
         });
 
-        // Cross-instance mixed chunks through SharedRuntime::fire_many:
+        // Cross-instance mixed chunks through Runtime::fire_many:
         // the fleet advances in lockstep, each chunk grouped by shard.
         let fleet = if smoke { 8 } else { 64 };
         let goal = gen::layered_workflow(16, 2);
@@ -966,7 +946,7 @@ fn bench_exec_json(smoke: bool) {
             .filter_map(ctr::term::Atom::as_event)
             .map(|s| s.as_str().to_owned())
             .collect();
-        let rt = SharedRuntime::new();
+        let rt = Runtime::new();
         rt.deploy_compiled("layered", compiled.goal.clone())
             .expect("compiles");
         let ids: Vec<InstanceId> = (0..fleet)
@@ -1006,7 +986,7 @@ fn bench_exec_json(smoke: bool) {
     {
         use ctr_runtime::{Enactor, FaultPlan, RetryPolicy};
         let activities = if smoke { 32 } else { 256 };
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         rt.deploy_compiled("pipe", gen::pipeline_workflow(activities))
             .expect("pipeline compiles");
 
@@ -1295,7 +1275,7 @@ fn bench_verify_json(smoke: bool) {
 ///
 /// Multi-threaded rows, `durability_mt/{strict,coalesced}xT`: T client
 /// threads fire per-event appends into a *one-stripe* WAL through a
-/// `SharedRuntime` — one stripe on purpose, so every append contends on
+/// `Runtime` — one stripe on purpose, so every append contends on
 /// the same commit pipeline and the rows measure cross-thread commit
 /// coalescing itself, not stripe spreading. Under `strict` the threads
 /// serialize behind each other's fsyncs (throughput stays flat as T
@@ -1328,7 +1308,7 @@ fn bench_store_json(smoke: bool) {
     let mut records: Vec<Record> = Vec::new();
 
     let mut measure = |name: &str, store: Arc<dyn Store>, grouped: bool| {
-        let mut rt = Runtime::with_store(store);
+        let rt = Runtime::with_store(store);
         rt.deploy_source(&source).expect("deploy chain");
         let t0 = Instant::now();
         for _ in 0..instances {
@@ -1378,7 +1358,7 @@ fn bench_store_json(smoke: bool) {
     /// Drives every instance of `ids[t]` through `trace` on thread `t`
     /// (one append per fire), returning each fire's client-observed
     /// commit latency in microseconds.
-    fn drive_mt(rt: &SharedRuntime, ids: &[Vec<InstanceId>], trace: &[String]) -> Vec<u64> {
+    fn drive_mt(rt: &Runtime, ids: &[Vec<InstanceId>], trace: &[String]) -> Vec<u64> {
         std::thread::scope(|scope| {
             let handles: Vec<_> = ids
                 .iter()
@@ -1416,7 +1396,7 @@ fn bench_store_json(smoke: bool) {
                 ..WalOptions::default()
             };
             let store = Arc::new(WalStore::open_with(&wal_dir, options).expect("open wal"));
-            let rt = SharedRuntime::with_store(store);
+            let rt = Runtime::with_store(store);
             rt.deploy_source(&source).expect("deploy chain");
             let start_fleet = |count: usize| -> Vec<Vec<InstanceId>> {
                 (0..threads)
@@ -1484,43 +1464,12 @@ fn bench_store_json(smoke: bool) {
     eprintln!("wrote BENCH_store.json ({} workloads)", records.len());
 }
 
-/// The method surface the fleet benchmark drives, implemented by both the
-/// sharded runtime and the coarse-lock baseline so one driver measures
-/// both.
-trait FleetHandle: Sync {
-    fn start(&self, workflow: &str) -> Result<InstanceId, RuntimeError>;
-    fn fire(&self, id: InstanceId, event: &str) -> Result<InstanceStatus, RuntimeError>;
-    fn try_complete(&self, id: InstanceId) -> Result<InstanceStatus, RuntimeError>;
-    fn journal(&self, id: InstanceId) -> Result<Vec<String>, RuntimeError>;
-}
-
-macro_rules! impl_fleet_handle {
-    ($ty:ty) => {
-        impl FleetHandle for $ty {
-            fn start(&self, workflow: &str) -> Result<InstanceId, RuntimeError> {
-                <$ty>::start(self, workflow)
-            }
-            fn fire(&self, id: InstanceId, event: &str) -> Result<InstanceStatus, RuntimeError> {
-                <$ty>::fire(self, id, event)
-            }
-            fn try_complete(&self, id: InstanceId) -> Result<InstanceStatus, RuntimeError> {
-                <$ty>::try_complete(self, id)
-            }
-            fn journal(&self, id: InstanceId) -> Result<Vec<String>, RuntimeError> {
-                <$ty>::journal(self, id)
-            }
-        }
-    };
-}
-impl_fleet_handle!(SharedRuntime);
-impl_fleet_handle!(CoarseRuntime);
-
 /// Starts `fleet` instances, splits them over `threads` client threads,
 /// and drives each through `trace`. Returns (wall time, total fires).
 /// Every journal is checked against the single-threaded trace afterwards:
 /// concurrency must not change per-instance executions.
 fn run_fleet_mt(
-    rt: &dyn FleetHandle,
+    rt: &Runtime,
     fleet: usize,
     threads: usize,
     trace: &[String],

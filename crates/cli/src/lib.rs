@@ -501,7 +501,7 @@ pub fn cmd_run(
         WalStore::open_with(dir, options)
             .map_err(|e| CliError::analysis(format!("store `{dir}`: {e}\n")))?,
     );
-    let mut rt = Runtime::open(Arc::clone(&store))
+    let rt = Runtime::open(Arc::clone(&store))
         .map_err(|e| CliError::analysis(format!("recovery from `{dir}` failed: {e}\n")))?;
     let step = |e: ctr_runtime::RuntimeError| CliError::analysis(format!("{e}\n"));
 
@@ -631,7 +631,7 @@ pub fn cmd_run(
 /// line and flushes *before* blocking, so scripts binding port 0 can
 /// read the ephemeral port from the first line of output.
 pub fn cmd_serve(rest: &[String]) -> Result<String, CliError> {
-    use ctr_runtime::{SharedRuntime, Store, WalOptions, WalStore};
+    use ctr_runtime::{Runtime, Store, WalOptions, WalStore};
     use std::sync::Arc;
 
     let mut addr = "127.0.0.1:7171".to_owned();
@@ -669,10 +669,10 @@ pub fn cmd_serve(rest: &[String]) -> Result<String, CliError> {
                 WalStore::open_with(dir, options)
                     .map_err(|e| CliError::analysis(format!("store `{dir}`: {e}\n")))?,
             );
-            SharedRuntime::open(store)
+            Runtime::open(store)
                 .map_err(|e| CliError::analysis(format!("recovery from `{dir}` failed: {e}\n")))?
         }
-        None => SharedRuntime::new(),
+        None => Runtime::new(),
     };
     let server = ctr_serve::Server::bind(runtime, &addr, opts)
         .map_err(|e| CliError::analysis(format!("cannot bind `{addr}`: {e}\n")))?;

@@ -23,7 +23,7 @@ fn bench_runtime(c: &mut Criterion) {
         let source = spec(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             b.iter(|| {
-                let mut rt = Runtime::new();
+                let rt = Runtime::new();
                 rt.deploy_source(&source).unwrap();
                 let id = rt.start("chain").unwrap();
                 for i in 0..n {
@@ -41,7 +41,7 @@ fn bench_runtime(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
     for n in [8usize, 32, 128] {
         let source = spec(n);
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         rt.deploy_source(&source).unwrap();
         let id = rt.start("chain").unwrap();
         for i in 0..n / 2 {

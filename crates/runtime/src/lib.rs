@@ -8,6 +8,10 @@
 //! instances, **fire** events as the outside world reports them, and
 //! **snapshot/restore** everything as plain text.
 //!
+//! [`Runtime`] is the one runtime: a cloneable, `Send + Sync` handle
+//! whose instance table is sharded so that clients of different
+//! instances never contend (see [`shared`] for the locking model).
+//!
 //! Instances are **event-sourced**: the only persistent state is the
 //! journal of fired events. Each instance holds a **cached incremental
 //! cursor** over its deployment's `Arc`-shared compiled [`Program`]:
@@ -26,7 +30,7 @@
 //! ```
 //! use ctr_runtime::Runtime;
 //!
-//! let mut rt = Runtime::new();
+//! let rt = Runtime::new();
 //! rt.deploy_source("workflow pay { graph invoice * (approve + reject) * file; }").unwrap();
 //! let id = rt.start("pay").unwrap();
 //! assert_eq!(rt.eligible(id).unwrap(), vec!["invoice".to_owned()]);
@@ -45,7 +49,6 @@ use ctr::goal::Goal;
 use ctr::timer::{parse_tick, TimerKind};
 use ctr_engine::scheduler::{Program, Scheduler};
 use ctr_store::Record;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -55,7 +58,7 @@ pub use enact::{
     AttemptOutcome, AttemptRecord, Backoff, ChoicePolicy, EnactError, EnactReport, Enactor, Fault,
     FaultPlan, Handler, RetryPolicy,
 };
-pub use shared::{CoarseRuntime, SharedRuntime};
+pub use shared::{Runtime, SharedRuntime};
 pub use stats::{simulate, simulate_par, Simulation};
 pub use wheel::{TimerToken, TimerWheel};
 
@@ -153,9 +156,9 @@ impl fmt::Display for InstanceStatus {
 }
 
 /// Per-event result of a batched fire ([`Runtime::fire_batch`],
-/// [`SharedRuntime::fire_batch`], [`SharedRuntime::fire_many`]).
+/// [`Runtime::fire_many`], [`Runtime::fire_runs`]).
 ///
-/// A batch commits its events in order and stops at the first failure:
+/// A run commits its events in order and stops at the first failure:
 /// the committed prefix is journaled exactly as if fired individually,
 /// the failing event reports why, and everything after it is skipped
 /// untried. The outcome vector always has one entry per input event.
@@ -164,11 +167,11 @@ pub enum FireOutcome {
     /// The event fired; the instance's status immediately after it.
     Fired(InstanceStatus),
     /// The event was rejected (not eligible, instance already complete,
-    /// or unknown instance in [`SharedRuntime::fire_many`]); the batch
-    /// stopped here.
+    /// unknown instance, or a failed store append); the run stopped
+    /// here.
     Rejected(RuntimeError),
-    /// A preceding event of the same instance's batch failed; this one
-    /// was never attempted.
+    /// A preceding event of the same run failed; this one was never
+    /// attempted.
     Skipped,
 }
 
@@ -225,8 +228,8 @@ impl Deployment {
         })
     }
 
-    /// Appends this deployment's snapshot line. Both runtimes serialize
-    /// through here, which is what keeps their formats byte-identical.
+    /// Appends this deployment's snapshot line (see
+    /// [`render_snapshot`]).
     pub(crate) fn snapshot_line(&self, out: &mut String, name: &str) {
         use std::fmt::Write as _;
         let _ = writeln!(out, "workflow {name} := {}", self.rendered);
@@ -258,10 +261,8 @@ pub(crate) enum TimerFired {
 }
 
 /// One running instance: the journal (sole persistent state) plus the
-/// cached cursor. All per-instance operations live here so the
-/// single-threaded [`Runtime`] and the sharded [`SharedRuntime`] run the
-/// exact same logic — the latter merely wraps each `Instance` in its own
-/// lock.
+/// cached cursor. All per-instance logic lives here; [`Runtime`] wraps
+/// each `Instance` in its own lock.
 pub(crate) struct Instance {
     pub(crate) workflow: String,
     pub(crate) journal: Vec<Symbol>,
@@ -324,9 +325,7 @@ impl Instance {
     /// `committed_from..` — the tick itself fired, or a deadline's base
     /// event fired — or by completion (a completed instance has no
     /// future), returning their wheel tokens. The caller cancels the
-    /// tokens on the wheel; split this way so [`Runtime`] and
-    /// [`SharedRuntime`] derive disarms identically under their
-    /// different locking.
+    /// tokens on the wheel, under the timer lock.
     pub(crate) fn settled_tokens(&mut self, committed_from: usize) -> Vec<TimerToken> {
         if self.timers.is_empty() {
             return Vec::new();
@@ -397,129 +396,15 @@ impl Instance {
         Ok(TimerFired::Fired)
     }
 
-    /// Fires one event; see [`Runtime::fire`]. With a store attached
-    /// this is write-ahead: the event record must be durable before the
-    /// in-memory journal commits, and a failed persist rolls the cursor
-    /// back (by replaying the unchanged journal) so nothing half-fires.
-    pub(crate) fn fire(
-        &mut self,
-        id: InstanceId,
-        event: &str,
-        store: Option<&dyn Store>,
-    ) -> Result<InstanceStatus, RuntimeError> {
-        if self.status == InstanceStatus::Completed {
-            return Err(RuntimeError::AlreadyComplete(id));
-        }
-        // Non-interning lookup: event names come from clients, and a name
-        // that was never interned cannot be in any deployed program — it
-        // is rejected without permanently growing the global symbol
-        // table on behalf of unknown (possibly hostile) input.
-        let Some(symbol) = Symbol::try_get(event) else {
-            return Err(RuntimeError::NotEligible {
-                event: event.to_owned(),
-                eligible: self.eligible_names(),
-            });
-        };
-        // A failed `fire_event` leaves the cursor untouched, so the
-        // cache stays valid on the error path.
-        if !self.cursor.fire_event(symbol) {
-            return Err(RuntimeError::NotEligible {
-                event: event.to_owned(),
-                eligible: self.eligible_names(),
-            });
-        }
-        if let Some(store) = store {
-            let record = Record::Events {
-                instance: id,
-                events: vec![event.to_owned()],
-            };
-            if let Err(e) = store.append(&record) {
-                self.rebuild_cursor(Arc::clone(&self.program))?;
-                return Err(RuntimeError::Store(e.to_string()));
-            }
-        }
-        self.journal.push(symbol);
-        if self.cursor.is_complete() {
-            self.status = InstanceStatus::Completed;
-        }
-        Ok(self.status)
-    }
-
-    /// Fires a batch of events in order, stopping at the first failure;
-    /// see [`Runtime::fire_batch`]. The committed prefix reaches the
-    /// journal through a single `extend` — and, with a store attached,
-    /// a single durable append: the whole batch is one group commit
-    /// (one fsync on the WAL backend). If that append fails, the batch
-    /// commits **nothing** — the cursor is rolled back by replay, the
-    /// first event reports [`RuntimeError::Store`], and the rest are
-    /// [`FireOutcome::Skipped`]. `Err` is reserved for a rollback that
-    /// itself finds the journal unreplayable.
-    pub(crate) fn fire_batch<S: AsRef<str>>(
-        &mut self,
-        id: InstanceId,
-        events: &[S],
-        store: Option<&dyn Store>,
-    ) -> Result<Vec<FireOutcome>, RuntimeError> {
-        let status_before = self.status;
-        let mut outcomes = Vec::with_capacity(events.len());
-        let mut committed: Vec<Symbol> = Vec::with_capacity(events.len());
-        for event in events {
-            if matches!(
-                outcomes.last(),
-                Some(FireOutcome::Rejected(_) | FireOutcome::Skipped)
-            ) {
-                outcomes.push(FireOutcome::Skipped);
-                continue;
-            }
-            let event = event.as_ref();
-            if self.status == InstanceStatus::Completed {
-                outcomes.push(FireOutcome::Rejected(RuntimeError::AlreadyComplete(id)));
-                continue;
-            }
-            // Same non-interning lookup as `fire`: unknown names reject
-            // without growing the symbol table.
-            let symbol = Symbol::try_get(event).filter(|&s| self.cursor.fire_event(s));
-            let Some(symbol) = symbol else {
-                outcomes.push(FireOutcome::Rejected(RuntimeError::NotEligible {
-                    event: event.to_owned(),
-                    eligible: self.eligible_names(),
-                }));
-                continue;
-            };
-            committed.push(symbol);
-            if self.cursor.is_complete() {
-                self.status = InstanceStatus::Completed;
-            }
-            outcomes.push(FireOutcome::Fired(self.status));
-        }
-        if let Some(store) = store {
-            if !committed.is_empty() {
-                let record = Record::Events {
-                    instance: id,
-                    events: committed.iter().map(|s| s.as_str().to_owned()).collect(),
-                };
-                if let Err(e) = store.append(&record) {
-                    self.rebuild_cursor(Arc::clone(&self.program))?;
-                    self.status = status_before;
-                    let mut failed = Vec::with_capacity(events.len());
-                    failed.push(FireOutcome::Rejected(RuntimeError::Store(e.to_string())));
-                    failed.resize(events.len(), FireOutcome::Skipped);
-                    return Ok(failed);
-                }
-            }
-        }
-        self.journal.extend(committed);
-        Ok(outcomes)
-    }
-
-    /// Fires several independent *runs* (sub-batches) against this
-    /// instance, each with [`Instance::fire_batch`] semantics — a
-    /// failure stops its own run (rest [`FireOutcome::Skipped`]) but
-    /// never the following runs, exactly as if the runs had been
-    /// submitted as separate `fire_batch` calls back to back. The
-    /// difference is durability traffic: all committed events of the
-    /// whole burst reach the store through **one** append (one group
-    /// commit on the WAL backend) instead of one per run.
+    /// The one commit loop: fires several independent *runs*
+    /// (sub-batches) against this instance. Each run fires its events in
+    /// order and stops at its first failure (rest
+    /// [`FireOutcome::Skipped`]) but never stops the following runs,
+    /// exactly as if the runs had been submitted as separate
+    /// [`Runtime::fire_batch`] calls back to back. With a store attached
+    /// this is write-ahead: all committed events of the whole burst
+    /// reach the store through **one** append (one group commit on the
+    /// WAL backend) before the burst is acknowledged.
     ///
     /// The burst is consequently one commit unit: if the append fails,
     /// *every* run rolls back (cursor rebuilt by replay, status
@@ -536,7 +421,6 @@ impl Instance {
         let status_before = self.status;
         let journal_before = self.journal.len();
         let mut outcomes: Vec<Vec<FireOutcome>> = Vec::with_capacity(runs.len());
-        let mut committed: Vec<Symbol> = Vec::new();
         for events in runs {
             let mut run = Vec::with_capacity(events.len());
             for event in *events {
@@ -560,7 +444,6 @@ impl Instance {
                     }));
                     continue;
                 };
-                committed.push(symbol);
                 // Later runs see the committed prefix immediately — the
                 // in-memory journal is extended run by run so a mid-burst
                 // snapshot or rollback always has the true event list.
@@ -573,10 +456,13 @@ impl Instance {
             outcomes.push(run);
         }
         if let Some(store) = store {
-            if !committed.is_empty() {
+            if self.journal.len() > journal_before {
                 let record = Record::Events {
                     instance: id,
-                    events: committed.iter().map(|s| s.as_str().to_owned()).collect(),
+                    events: self.journal[journal_before..]
+                        .iter()
+                        .map(|s| s.as_str().to_owned())
+                        .collect(),
                 };
                 if let Err(e) = store.append(&record) {
                     self.journal.truncate(journal_before);
@@ -740,18 +626,14 @@ impl Instance {
     }
 }
 
-/// Renders the canonical snapshot text into `out`, clearing it first —
-/// the single serialization path under [`Runtime::snapshot`],
-/// [`SharedRuntime::snapshot`], and both checkpoints, which is what
-/// keeps their bytes identical. The buffer is pre-sized in one counting
-/// pass, so a caller reusing one `String` across snapshots settles into
-/// a single steady-state allocation.
-pub(crate) fn render_snapshot<'a, D, I>(deployments: D, instances: I, out: &mut String)
+/// Renders the canonical snapshot text — the single serialization path
+/// under [`Runtime::snapshot`] and [`Runtime::checkpoint`]. The buffer
+/// is pre-sized in one counting pass.
+pub(crate) fn render_snapshot<'a, D, I>(deployments: D, instances: I) -> String
 where
     D: Iterator<Item = (&'a String, &'a Deployment)> + Clone,
     I: Iterator<Item = (InstanceId, &'a Instance)> + Clone,
 {
-    out.clear();
     let mut len = SNAPSHOT_HEADER.len() + 1;
     for (name, d) in deployments.clone() {
         len += d.snapshot_len(name);
@@ -759,750 +641,16 @@ where
     for (id, inst) in instances.clone() {
         len += inst.snapshot_len(id);
     }
-    out.reserve(len);
+    let mut out = String::with_capacity(len);
     out.push_str(SNAPSHOT_HEADER);
     out.push('\n');
     for (name, d) in deployments {
-        d.snapshot_line(out, name);
+        d.snapshot_line(&mut out, name);
     }
     for (id, inst) in instances {
-        inst.snapshot_line(out, id);
+        inst.snapshot_line(&mut out, id);
     }
-}
-
-/// The workflow runtime: deployed definitions plus running instances.
-#[derive(Default)]
-pub struct Runtime {
-    pub(crate) deployments: BTreeMap<String, Arc<Deployment>>,
-    pub(crate) instances: BTreeMap<InstanceId, Instance>,
-    pub(crate) next_id: InstanceId,
-    /// Journal events re-fired to (re)materialize cursors — replay work.
-    /// Stays 0 in steady state; grows only on [`Runtime::restore`] and
-    /// explicit [`Runtime::invalidate`].
-    pub(crate) replayed: u64,
-    /// The durability backend, if any. `None` (the default) keeps every
-    /// path purely in-memory with zero overhead; with a store attached,
-    /// every deploy, start, fire, and silent completion is appended
-    /// *before* the in-memory commit (write-ahead discipline).
-    pub(crate) store: Option<Arc<dyn Store>>,
-    /// The logical clock (ms). Never ticks by itself: [`Runtime::advance`]
-    /// moves it, and recovery restores it to the latest durable expiry
-    /// watermark (`max` of replayed [`Record::TimerFire`] `at_ms`).
-    pub(crate) clock_ms: u64,
-    /// Pending timers across the fleet, keyed back to their instances.
-    pub(crate) wheel: TimerWheel<(InstanceId, Symbol)>,
-}
-
-impl Runtime {
-    /// An empty runtime.
-    pub fn new() -> Runtime {
-        Runtime::default()
-    }
-
-    /// An empty runtime persisting through `store`. Anything the store
-    /// already holds is ignored — use [`Runtime::open`] to recover.
-    pub fn with_store(store: Arc<dyn Store>) -> Runtime {
-        Runtime {
-            store: Some(store),
-            ..Runtime::default()
-        }
-    }
-
-    /// Recovers a runtime from everything `store` retained — the latest
-    /// checkpoint snapshot first, then every post-checkpoint record in
-    /// append order, each re-validated exactly like a live call (replayed
-    /// fires count toward [`Runtime::replayed_steps`]). The store is
-    /// attached only after replay, so recovery never re-appends its own
-    /// input. Fails with [`RuntimeError::Store`] if the store cannot be
-    /// read, or a replay-level error if its contents do not re-validate.
-    pub fn open(store: Arc<dyn Store>) -> Result<Runtime, RuntimeError> {
-        let replay = store
-            .replay()
-            .map_err(|e| RuntimeError::Store(e.to_string()))?;
-        let mut rt = match &replay.snapshot {
-            Some(snapshot) => Runtime::restore(snapshot)?,
-            None => Runtime::new(),
-        };
-        // Arm-before-visible buffering: a TimerArm only takes effect
-        // when its Start follows. A crash between the two appends
-        // leaves an orphan arm, which simply never leaves this map.
-        let mut buffered_arms: BTreeMap<InstanceId, Vec<(String, u64)>> = BTreeMap::new();
-        for record in replay.records {
-            match record {
-                Record::Deploy { name, goal } => {
-                    let goal = ctr_parser::parse_goal(&goal).map_err(|e| {
-                        RuntimeError::Journal(format!("deploy record for `{name}`: {e}"))
-                    })?;
-                    rt.deploy_compiled(&name, goal)?;
-                }
-                Record::TimerArm { instance, timers } => {
-                    buffered_arms.insert(instance, timers);
-                }
-                Record::Start { instance, workflow } => {
-                    let arms = buffered_arms.remove(&instance).unwrap_or_default();
-                    rt.adopt_instance(instance, &workflow, &arms)?;
-                }
-                Record::Events { instance, events } => {
-                    for event in &events {
-                        rt.fire(instance, event).map_err(|e| {
-                            RuntimeError::Journal(format!(
-                                "instance {instance}: replaying event `{event}`: {e}"
-                            ))
-                        })?;
-                        rt.replayed += 1;
-                    }
-                }
-                Record::TimerFire {
-                    instance,
-                    event,
-                    at_ms,
-                } => {
-                    rt.replay_timer_fire(instance, &event, at_ms)?;
-                    rt.replayed += 1;
-                }
-                Record::TimerCancel { instance, event } => {
-                    rt.replay_timer_cancel(instance, &event);
-                }
-                Record::Complete { instance } => {
-                    rt.try_complete(instance)?;
-                }
-            }
-        }
-        rt.store = Some(store);
-        Ok(rt)
-    }
-
-    /// Compacts the attached store: freezes the current state as a text
-    /// snapshot (the ordinary [`Runtime::snapshot`] bytes) and lets the
-    /// store truncate every record the snapshot covers. Errors if no
-    /// store is attached.
-    pub fn checkpoint(&mut self) -> Result<(), RuntimeError> {
-        let Some(store) = &self.store else {
-            return Err(RuntimeError::Store(
-                "no store attached to checkpoint into".to_owned(),
-            ));
-        };
-        let mut out = String::new();
-        render_snapshot(
-            self.deployments.iter().map(|(n, d)| (n, &**d)),
-            self.instances.iter().map(|(id, inst)| (*id, inst)),
-            &mut out,
-        );
-        store
-            .checkpoint(&out)
-            .map_err(|e| RuntimeError::Store(e.to_string()))
-    }
-
-    /// Adopts an instance under a caller-chosen id — the recovery path
-    /// for durable [`Record::Start`] records, which must reproduce the
-    /// exact ids clients were given before the crash. `arms` carries
-    /// the instance's buffered [`Record::TimerArm`] dues (absolute ms),
-    /// re-armed here exactly as the pre-crash start armed them.
-    fn adopt_instance(
-        &mut self,
-        id: InstanceId,
-        workflow: &str,
-        arms: &[(String, u64)],
-    ) -> Result<(), RuntimeError> {
-        let deployment = self
-            .deployments
-            .get(workflow)
-            .ok_or_else(|| RuntimeError::UnknownWorkflow(workflow.to_owned()))?;
-        if self.instances.contains_key(&id) {
-            return Err(RuntimeError::Journal(format!(
-                "duplicate start record for instance {id}"
-            )));
-        }
-        let mut instance = Instance::new(workflow.to_owned(), Arc::clone(&deployment.program));
-        for (name, due) in arms {
-            let tick = Symbol::try_get(name).ok_or_else(|| {
-                RuntimeError::Journal(format!(
-                    "arm record for instance {id} references unknown timer event `{name}`"
-                ))
-            })?;
-            let base = parse_tick(name).and_then(|t| match t.kind {
-                TimerKind::Deadline => Symbol::try_get(t.base),
-                TimerKind::After => None,
-            });
-            let token = self.wheel.arm(*due, (id, tick));
-            instance.arm_timer(tick, *due, base, token);
-        }
-        self.instances.insert(id, instance);
-        self.next_id = self.next_id.max(id + 1);
-        Ok(())
-    }
-
-    /// Derived timer bookkeeping after events committed on an instance:
-    /// a deadline whose base event fired is satisfied (disarmed), a
-    /// tick that fired by any path disarms itself, and a completed
-    /// instance drains every pending timer. None of these write a
-    /// record — they are deterministic functions of the journaled
-    /// events, so replay reproduces them exactly.
-    fn settle_timers(&mut self, id: InstanceId, committed_from: usize) {
-        let Some(inst) = self.instances.get_mut(&id) else {
-            return;
-        };
-        for token in inst.settled_tokens(committed_from) {
-            self.wheel.cancel(token);
-        }
-    }
-
-    /// Deploys a specification from its textual source. Compiles the
-    /// graph, triggers, sub-workflows, and constraints once; inconsistent
-    /// specifications are rejected outright (there would be nothing to
-    /// schedule).
-    pub fn deploy_source(&mut self, source: &str) -> Result<String, RuntimeError> {
-        let spec =
-            ctr_parser::parse_spec(source).map_err(|e| RuntimeError::Parse(e.to_string()))?;
-        let name = spec.name.clone();
-        let compiled = spec
-            .compile()
-            .map_err(|e| RuntimeError::Compile(e.to_string()))?;
-        if !compiled.is_consistent() {
-            return Err(RuntimeError::Inconsistent(name));
-        }
-        self.deploy_compiled(&name, compiled.goal)?;
-        Ok(name)
-    }
-
-    /// Deploys an already-compiled goal under a name.
-    ///
-    /// Re-deploying a name only affects instances started afterwards:
-    /// running instances keep (and share, via `Arc`) the program they
-    /// were started with.
-    pub fn deploy_compiled(&mut self, name: &str, compiled: Goal) -> Result<(), RuntimeError> {
-        let deployment = Deployment::new(compiled)?;
-        if let Some(store) = &self.store {
-            store
-                .append(&Record::Deploy {
-                    name: name.to_owned(),
-                    goal: deployment.rendered.clone(),
-                })
-                .map_err(|e| RuntimeError::Store(e.to_string()))?;
-        }
-        self.deployments
-            .insert(name.to_owned(), Arc::new(deployment));
-        Ok(())
-    }
-
-    /// Deployed workflow names.
-    pub fn workflows(&self) -> Vec<String> {
-        self.deployments.keys().cloned().collect()
-    }
-
-    /// Starts a new instance of a deployed workflow, materializing its
-    /// cursor once and arming its timers at `clock + delay`. The cursor
-    /// shares the deployment's compiled program.
-    ///
-    /// Durability order is **arm-before-visible**: the instance's
-    /// [`Record::TimerArm`] goes to the store *before* its
-    /// [`Record::Start`]. A crash between the two leaves an orphan arm,
-    /// which recovery drops harmlessly; the reverse order could recover
-    /// an instance whose deadlines were silently lost.
-    pub fn start(&mut self, workflow: &str) -> Result<InstanceId, RuntimeError> {
-        let deployment = Arc::clone(
-            self.deployments
-                .get(workflow)
-                .ok_or_else(|| RuntimeError::UnknownWorkflow(workflow.to_owned()))?,
-        );
-        let mut instance = Instance::new(workflow.to_owned(), Arc::clone(&deployment.program));
-        let id = self.next_id;
-        if let Some(store) = &self.store {
-            if !deployment.timers.is_empty() {
-                store
-                    .append(&Record::TimerArm {
-                        instance: id,
-                        timers: deployment
-                            .timers
-                            .iter()
-                            .map(|t| {
-                                (
-                                    t.tick.as_str().to_owned(),
-                                    self.clock_ms.saturating_add(t.delay_ms),
-                                )
-                            })
-                            .collect(),
-                    })
-                    .map_err(|e| RuntimeError::Store(e.to_string()))?;
-            }
-            store
-                .append(&Record::Start {
-                    instance: id,
-                    workflow: workflow.to_owned(),
-                })
-                .map_err(|e| RuntimeError::Store(e.to_string()))?;
-        }
-        for t in &deployment.timers {
-            let due = self.clock_ms.saturating_add(t.delay_ms);
-            let token = self.wheel.arm(due, (id, t.tick));
-            instance.arm_timer(t.tick, due, t.base, token);
-        }
-        self.next_id = id + 1;
-        self.instances.insert(id, instance);
-        Ok(id)
-    }
-
-    /// Running and completed instance ids.
-    pub fn instances(&self) -> Vec<InstanceId> {
-        self.instances.keys().copied().collect()
-    }
-
-    fn instance(&self, id: InstanceId) -> Result<&Instance, RuntimeError> {
-        self.instances
-            .get(&id)
-            .ok_or(RuntimeError::UnknownInstance(id))
-    }
-
-    /// Total journal events re-fired to (re)materialize cursors. Zero in
-    /// steady state — `eligible`/`fire`/`try_complete` use the cached
-    /// incremental cursor; only [`Runtime::restore`] and
-    /// [`Runtime::invalidate`] replay.
-    pub fn replayed_steps(&self) -> u64 {
-        self.replayed
-    }
-
-    /// Discards the cached cursor of `id` and rebuilds it by replaying
-    /// the journal from scratch — the crash-recovery code path, exposed
-    /// so it can be exercised (and its equivalence with the incremental
-    /// cursor asserted) directly. A journal the *current* deployment
-    /// cannot replay (e.g. the name was re-deployed with an incompatible
-    /// body) is a typed [`RuntimeError::Journal`] error and leaves the
-    /// instance's cursor untouched.
-    pub fn invalidate(&mut self, id: InstanceId) -> Result<(), RuntimeError> {
-        let inst = self
-            .instances
-            .get_mut(&id)
-            .ok_or(RuntimeError::UnknownInstance(id))?;
-        let deployment = self
-            .deployments
-            .get(&inst.workflow)
-            .ok_or_else(|| RuntimeError::UnknownWorkflow(inst.workflow.clone()))?;
-        let replayed = inst.rebuild_cursor(Arc::clone(&deployment.program))?;
-        self.replayed += replayed;
-        Ok(())
-    }
-
-    /// The observable events eligible to fire now, deduplicated and
-    /// sorted — the pro-active scheduler's answer to "what can happen
-    /// next?" (§4). Reads the cached cursor: O(eligible), not O(journal).
-    ///
-    /// Allocates one `String` per name; hot polling loops should prefer
-    /// [`Runtime::eligible_symbols`].
-    pub fn eligible(&self, id: InstanceId) -> Result<Vec<String>, RuntimeError> {
-        Ok(self.instance(id)?.eligible_names())
-    }
-
-    /// [`Runtime::eligible`] without the per-name allocations: returns
-    /// interned [`Symbol`]s (same order — sorted by name, deduplicated).
-    pub fn eligible_symbols(&self, id: InstanceId) -> Result<Vec<Symbol>, RuntimeError> {
-        Ok(self.instance(id)?.eligible_symbols())
-    }
-
-    /// Fires an external event against an instance. Rejects events the
-    /// compiled schedule does not allow at this stage — no run-time
-    /// constraint checking, just structural eligibility. Advances the
-    /// cached cursor in place: per-fire work is independent of the
-    /// journal length.
-    pub fn fire(&mut self, id: InstanceId, event: &str) -> Result<InstanceStatus, RuntimeError> {
-        let store = self.store.as_deref();
-        let inst = self
-            .instances
-            .get_mut(&id)
-            .ok_or(RuntimeError::UnknownInstance(id))?;
-        let before = inst.journal.len();
-        let result = inst.fire(id, event, store);
-        if result.is_ok() {
-            self.settle_timers(id, before);
-        }
-        result
-    }
-
-    /// Fires a batch of events against one instance in order, under a
-    /// single instance resolution and a single journal extend.
-    ///
-    /// Partial-failure semantics: the batch stops at the first event that
-    /// cannot fire — the committed prefix stays journaled (exactly the
-    /// journal a sequence of individual [`Runtime::fire`] calls would
-    /// have produced), the failing event reports
-    /// [`FireOutcome::Rejected`], and the remaining events report
-    /// [`FireOutcome::Skipped`] untried. Returns one [`FireOutcome`] per
-    /// input event; `Err` only when the instance id itself is unknown.
-    pub fn fire_batch<S: AsRef<str>>(
-        &mut self,
-        id: InstanceId,
-        events: &[S],
-    ) -> Result<Vec<FireOutcome>, RuntimeError> {
-        let store = self.store.as_deref();
-        let inst = self
-            .instances
-            .get_mut(&id)
-            .ok_or(RuntimeError::UnknownInstance(id))?;
-        let before = inst.journal.len();
-        let result = inst.fire_batch(id, events, store);
-        if result.is_ok() {
-            self.settle_timers(id, before);
-        }
-        result
-    }
-
-    /// Tries to finish an instance through silent steps only (committing
-    /// `∨`-branches made of bookkeeping, e.g. an optional tail that was
-    /// compiled away). Returns the resulting status.
-    pub fn try_complete(&mut self, id: InstanceId) -> Result<InstanceStatus, RuntimeError> {
-        let store = self.store.as_deref();
-        let inst = self
-            .instances
-            .get_mut(&id)
-            .ok_or(RuntimeError::UnknownInstance(id))?;
-        let result = inst.try_complete(id, store);
-        if matches!(result, Ok(InstanceStatus::Completed)) {
-            // A completed instance has no future: drain its timers.
-            let len = self.instances.get(&id).map_or(0, |inst| inst.journal.len());
-            self.settle_timers(id, len);
-        }
-        result
-    }
-
-    // --- Timers -------------------------------------------------------------
-
-    /// The runtime's logical clock, in ms. Starts at zero and moves
-    /// only through [`Runtime::advance`] — the runtime has no wall
-    /// clock of its own, which keeps expiry deterministic under test.
-    pub fn clock_ms(&self) -> u64 {
-        self.clock_ms
-    }
-
-    /// Pending timers of an instance as `(tick event, absolute due ms)`
-    /// pairs, sorted by tick name.
-    pub fn pending_timers(&self, id: InstanceId) -> Result<Vec<(String, u64)>, RuntimeError> {
-        let inst = self.instance(id)?;
-        let mut out: Vec<(String, u64)> = inst
-            .timers
-            .iter()
-            .map(|t| (t.tick.as_str().to_owned(), t.due))
-            .collect();
-        out.sort();
-        Ok(out)
-    }
-
-    /// Total pending timers across the fleet — O(1) from the wheel.
-    pub fn pending_timer_count(&self) -> usize {
-        self.wheel.len()
-    }
-
-    /// The earliest pending due across all instances, as a lower bound
-    /// usable for sleeping; `None` when nothing is armed.
-    pub fn next_timer_due(&self) -> Option<u64> {
-        self.wheel.next_due()
-    }
-
-    /// Advances the logical clock to `to_ms`, expiring every timer due
-    /// on the way in deterministic `(due, instance, tick)` order. Each
-    /// expired tick fires as an ordinary journal event, write-ahead as
-    /// [`Record::TimerFire`]; a tick whose deadline was structurally
-    /// satisfied without the derived disarm catching it resolves
-    /// vacuously (journaled [`Record::TimerCancel`]). A clock already
-    /// at or past `to_ms` is left alone. Returns the `(instance, tick)`
-    /// pairs that fired.
-    ///
-    /// On a store error the failed expiry is re-armed untouched and the
-    /// clock still reflects the timers already processed — a later
-    /// advance retries exactly the unfired tail.
-    pub fn advance(&mut self, to_ms: u64) -> Result<Vec<(InstanceId, String)>, RuntimeError> {
-        let mut due_now = self.wheel.advance_to(to_ms);
-        // Wheel order is (due, arm order); re-sort ties by (instance,
-        // tick name) so expiry order is independent of arm history
-        // (snapshot restore re-arms in sorted order, replay in journal
-        // order — the fleet must expire identically either way).
-        due_now.sort_by(|a, b| (a.0, a.1 .0, a.1 .1.as_str()).cmp(&(b.0, b.1 .0, b.1 .1.as_str())));
-        let mut out = Vec::new();
-        for i in 0..due_now.len() {
-            let (due, (id, tick)) = due_now[i];
-            let store = self.store.as_deref();
-            let Some(inst) = self.instances.get_mut(&id) else {
-                continue;
-            };
-            let Some(armed) = inst.take_timer(tick) else {
-                continue; // disarmed earlier in this same batch
-            };
-            let before = inst.journal.len();
-            match inst.fire_timer(id, tick, due, store) {
-                Ok(TimerFired::Fired) => {
-                    out.push((id, tick.as_str().to_owned()));
-                    self.settle_timers(id, before);
-                }
-                Ok(TimerFired::Vacuous) => {}
-                Err(e) => {
-                    // Re-arm the failed expiry *and* the rest of the
-                    // popped batch: the wheel no longer holds any of
-                    // them, and their instance entries carry dead
-                    // tokens — without this the unfired tail would
-                    // silently never expire.
-                    let token = self.wheel.arm(armed.due, (id, tick));
-                    self.instances
-                        .get_mut(&id)
-                        .expect("instance still exists")
-                        .arm_timer(tick, armed.due, armed.base, token);
-                    for &(_, (id2, tick2)) in &due_now[i + 1..] {
-                        let Some(inst) = self.instances.get_mut(&id2) else {
-                            continue;
-                        };
-                        let Some(armed2) = inst.take_timer(tick2) else {
-                            continue;
-                        };
-                        let token = self.wheel.arm(armed2.due, (id2, tick2));
-                        self.instances
-                            .get_mut(&id2)
-                            .expect("instance still exists")
-                            .arm_timer(tick2, armed2.due, armed2.base, token);
-                    }
-                    self.clock_ms = self.clock_ms.max(self.wheel.now());
-                    return Err(e);
-                }
-            }
-        }
-        self.clock_ms = self.clock_ms.max(to_ms);
-        Ok(out)
-    }
-
-    /// Explicitly disarms a pending timer by its tick event name,
-    /// journaling [`Record::TimerCancel`] write-ahead. Unlike the
-    /// derived disarms (deadline satisfied, instance completed), an API
-    /// cancel is not reproducible from the event journal, so it must be
-    /// its own record.
-    pub fn cancel_timer(&mut self, id: InstanceId, event: &str) -> Result<(), RuntimeError> {
-        let inst = self
-            .instances
-            .get_mut(&id)
-            .ok_or(RuntimeError::UnknownInstance(id))?;
-        let Some(tick) =
-            Symbol::try_get(event).filter(|s| inst.timers.iter().any(|t| t.tick == *s))
-        else {
-            return Err(RuntimeError::UnknownTimer {
-                instance: id,
-                event: event.to_owned(),
-            });
-        };
-        if let Some(store) = &self.store {
-            store
-                .append(&Record::TimerCancel {
-                    instance: id,
-                    event: event.to_owned(),
-                })
-                .map_err(|e| RuntimeError::Store(e.to_string()))?;
-        }
-        let armed = self
-            .instances
-            .get_mut(&id)
-            .expect("checked above")
-            .take_timer(tick)
-            .expect("checked pending above");
-        self.wheel.cancel(armed.token);
-        Ok(())
-    }
-
-    /// Replays a durable [`Record::TimerFire`]: restores the clock
-    /// watermark and fires the tick exactly as the pre-crash advance
-    /// did.
-    fn replay_timer_fire(
-        &mut self,
-        id: InstanceId,
-        event: &str,
-        at_ms: u64,
-    ) -> Result<(), RuntimeError> {
-        self.clock_ms = self.clock_ms.max(at_ms);
-        let tick = Symbol::try_get(event).ok_or_else(|| {
-            RuntimeError::Journal(format!(
-                "timer fire for instance {id} references unknown event `{event}`"
-            ))
-        })?;
-        let inst = self.instances.get_mut(&id).ok_or_else(|| {
-            RuntimeError::Journal(format!("timer fire for unknown instance {id}"))
-        })?;
-        if let Some(armed) = inst.take_timer(tick) {
-            self.wheel.cancel(armed.token);
-        }
-        let inst = self.instances.get_mut(&id).expect("checked above");
-        let before = inst.journal.len();
-        match inst.fire_timer(id, tick, at_ms, None)? {
-            TimerFired::Fired => {
-                self.settle_timers(id, before);
-                Ok(())
-            }
-            TimerFired::Vacuous => Err(RuntimeError::Journal(format!(
-                "instance {id}: replaying timer fire `{event}`: not eligible"
-            ))),
-        }
-    }
-
-    /// Replays a durable [`Record::TimerCancel`]. Lenient about an
-    /// already-absent timer: the record may follow a derived disarm the
-    /// event replay has reproduced on its own.
-    fn replay_timer_cancel(&mut self, id: InstanceId, event: &str) {
-        let Some(tick) = Symbol::try_get(event) else {
-            return;
-        };
-        let Some(inst) = self.instances.get_mut(&id) else {
-            return;
-        };
-        if let Some(armed) = inst.take_timer(tick) {
-            self.wheel.cancel(armed.token);
-        }
-    }
-
-    /// Enacts a deployed workflow with the given [`Enactor`]: dispatches
-    /// activity handlers under the compiled schedule and returns the full
-    /// [`EnactReport`] — committed trace, per-attempt outcomes and
-    /// latencies, and (on abort) the typed error plus compensation plan.
-    ///
-    /// Enactment is **deployment-level**: it runs against the
-    /// deployment's compiled program and does *not* create a journaled
-    /// instance. An enactor may legitimately commit *silent* `∨`-branches
-    /// (policy picks), and a silent commit is not an event — replaying
-    /// the observable trace through `fire_event` on a fresh cursor could
-    /// not reproduce it, which would break the journal-replay invariant
-    /// every instance relies on. Callers that want a journaled record can
-    /// [`Runtime::start`] an instance and [`Runtime::fire_batch`] the
-    /// report's `completed` events, which the runtime then re-validates.
-    pub fn enact(&self, workflow: &str, enactor: &Enactor) -> Result<EnactReport, RuntimeError> {
-        let deployment = self
-            .deployments
-            .get(workflow)
-            .ok_or_else(|| RuntimeError::UnknownWorkflow(workflow.to_owned()))?;
-        Ok(enactor.run_report(&deployment.program))
-    }
-
-    /// The journal of fired events.
-    pub fn journal(&self, id: InstanceId) -> Result<Vec<String>, RuntimeError> {
-        Ok(self.instance(id)?.journal_names())
-    }
-
-    /// Instance status.
-    pub fn status(&self, id: InstanceId) -> Result<InstanceStatus, RuntimeError> {
-        Ok(self.instance(id)?.status)
-    }
-
-    /// Completion check.
-    pub fn is_complete(&self, id: InstanceId) -> Result<bool, RuntimeError> {
-        Ok(self.instance(id)?.status == InstanceStatus::Completed)
-    }
-
-    // --- Snapshots ---------------------------------------------------------
-
-    /// Serializes the whole runtime — deployments as compiled goals in
-    /// the concrete syntax, instances as journals — into a line-based
-    /// textual snapshot.
-    pub fn snapshot(&self) -> String {
-        let mut out = String::new();
-        self.snapshot_into(&mut out);
-        out
-    }
-
-    /// [`Runtime::snapshot`] into a caller-owned buffer: the buffer is
-    /// cleared, pre-sized from the deployment renders and journal
-    /// lengths, and filled — so a loop snapshotting repeatedly (e.g.
-    /// periodic compaction) reuses one allocation instead of growing a
-    /// fresh `String` through repeated doublings each time.
-    pub fn snapshot_into(&self, out: &mut String) {
-        render_snapshot(
-            self.deployments.iter().map(|(n, d)| (n, &**d)),
-            self.instances.iter().map(|(id, inst)| (*id, inst)),
-            out,
-        );
-    }
-
-    /// Restores a runtime from a snapshot, re-validating every journal by
-    /// replay.
-    pub fn restore(snapshot: &str) -> Result<Runtime, RuntimeError> {
-        let mut lines = snapshot.lines();
-        if lines.next() != Some(SNAPSHOT_HEADER) {
-            return Err(RuntimeError::Snapshot(
-                "missing or unknown header".to_owned(),
-            ));
-        }
-        let mut rt = Runtime::new();
-        for line in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("workflow ") {
-                let (name, goal_text) = rest
-                    .split_once(" := ")
-                    .ok_or_else(|| RuntimeError::Snapshot(format!("bad workflow line: {line}")))?;
-                let goal = ctr_parser::parse_goal(goal_text)
-                    .map_err(|e| RuntimeError::Snapshot(e.to_string()))?;
-                rt.deploy_compiled(name, goal)?;
-            } else if let Some(rest) = line.strip_prefix("instance ") {
-                let (head, journal_text) = rest
-                    .split_once("]: ")
-                    .or_else(|| rest.split_once("]:").map(|(h, _)| (h, "")))
-                    .ok_or_else(|| RuntimeError::Snapshot(format!("bad instance line: {line}")))?;
-                // head = "<id> of <workflow> [<status>"
-                let mut parts = head.split_whitespace();
-                let id: InstanceId = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| RuntimeError::Snapshot(format!("bad instance id: {line}")))?;
-                let workflow = match (parts.next(), parts.next()) {
-                    (Some("of"), Some(w)) => w.to_owned(),
-                    _ => return Err(RuntimeError::Snapshot(format!("bad instance line: {line}"))),
-                };
-                let Some(deployment) = rt.deployments.get(&workflow) else {
-                    return Err(RuntimeError::Snapshot(format!(
-                        "instance {id} references unknown workflow `{workflow}`"
-                    )));
-                };
-                rt.instances
-                    .insert(id, Instance::new(workflow, Arc::clone(&deployment.program)));
-                rt.next_id = rt.next_id.max(id + 1);
-                // Replay through the public API so every journaled event
-                // is re-validated. This is the one place cursors are
-                // materialized by replay rather than advanced in place.
-                for event in journal_text.split_whitespace() {
-                    rt.fire(id, event)?;
-                    rt.replayed += 1;
-                }
-                if head.ends_with("[completed") {
-                    // Completion may have come from silent finishing.
-                    rt.try_complete(id)?;
-                }
-            } else if let Some(rest) = line.strip_prefix("timer ") {
-                // timer <instance> <tick> due <ms>
-                let mut parts = rest.split_whitespace();
-                let id: InstanceId = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| RuntimeError::Snapshot(format!("bad timer line: {line}")))?;
-                let (name, due) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
-                    (Some(name), Some("due"), Some(due), None) => (
-                        name,
-                        due.parse::<u64>().map_err(|_| {
-                            RuntimeError::Snapshot(format!("bad timer due: {line}"))
-                        })?,
-                    ),
-                    _ => return Err(RuntimeError::Snapshot(format!("bad timer line: {line}"))),
-                };
-                let Some(inst) = rt.instances.get_mut(&id) else {
-                    return Err(RuntimeError::Snapshot(format!(
-                        "timer line references unknown instance {id}"
-                    )));
-                };
-                // The tick was interned when the workflow goal parsed.
-                let tick = Symbol::try_get(name).ok_or_else(|| {
-                    RuntimeError::Snapshot(format!("timer line references unknown event `{name}`"))
-                })?;
-                let base = parse_tick(name).and_then(|t| match t.kind {
-                    TimerKind::Deadline => Symbol::try_get(t.base),
-                    TimerKind::After => None,
-                });
-                let token = rt.wheel.arm(due, (id, tick));
-                inst.arm_timer(tick, due, base, token);
-            } else {
-                return Err(RuntimeError::Snapshot(format!("unrecognized line: {line}")));
-            }
-        }
-        Ok(rt)
-    }
+    out
 }
 
 /// First line of every snapshot; version-checks the format.
@@ -1520,14 +668,14 @@ mod tests {
     ";
 
     fn runtime_with_pay() -> Runtime {
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         rt.deploy_source(PAY).unwrap();
         rt
     }
 
     #[test]
     fn deploy_start_fire_complete() {
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         assert_eq!(rt.workflows(), vec!["pay".to_owned()]);
         let id = rt.start("pay").unwrap();
         assert_eq!(rt.eligible(id).unwrap(), vec!["invoice".to_owned()]);
@@ -1544,7 +692,7 @@ mod tests {
 
     #[test]
     fn ineligible_events_are_rejected_with_alternatives() {
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         let id = rt.start("pay").unwrap();
         let err = rt.fire(id, "file").unwrap_err();
         let RuntimeError::NotEligible { event, eligible } = err else {
@@ -1558,7 +706,7 @@ mod tests {
 
     #[test]
     fn firing_into_completed_instance_fails() {
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         let id = rt.start("pay").unwrap();
         for e in ["invoice", "approve", "file"] {
             rt.fire(id, e).unwrap();
@@ -1571,7 +719,7 @@ mod tests {
 
     #[test]
     fn inconsistent_specs_are_rejected_at_deploy() {
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         let err = rt
             .deploy_source("workflow bad { graph b * a; constraint before(a, b); }")
             .unwrap_err();
@@ -1582,7 +730,7 @@ mod tests {
     fn constraints_gate_eligibility_at_runtime() {
         // A compiled order constraint: the runtime refuses the late event
         // until its predecessor fired — with zero constraint checking.
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         let compiled = ctr::analysis::compile(
             &ctr::goal::conc(vec![Goal::atom("a"), Goal::atom("b")]),
             &[Constraint::order("a", "b")],
@@ -1602,7 +750,7 @@ mod tests {
 
     #[test]
     fn multiple_instances_progress_independently() {
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         let i1 = rt.start("pay").unwrap();
         let i2 = rt.start("pay").unwrap();
         rt.fire(i1, "invoice").unwrap();
@@ -1616,7 +764,7 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_mid_flight() {
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         let i1 = rt.start("pay").unwrap();
         let i2 = rt.start("pay").unwrap();
         rt.fire(i1, "invoice").unwrap();
@@ -1633,14 +781,13 @@ mod tests {
             vec!["approve".to_owned(), "reject".to_owned()]
         );
         // New instances allocate past the restored ids.
-        let mut restored = restored;
         let i3 = restored.start("pay").unwrap();
         assert!(i3 > i2);
     }
 
     #[test]
     fn snapshot_round_trips_completed_instances() {
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         let id = rt.start("pay").unwrap();
         for e in ["invoice", "approve", "file"] {
             rt.fire(id, e).unwrap();
@@ -1656,7 +803,7 @@ mod tests {
             Runtime::restore("ctr-runtime snapshot v1\ninstance 0 of ghost [running]: x").is_err()
         );
         // A journal that replay rejects.
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         rt.start("pay").unwrap();
         let snap = rt.snapshot().replace("[running]: ", "[running]: file");
         assert!(matches!(
@@ -1673,7 +820,7 @@ mod tests {
             Goal::atom("a"),
             ctr::goal::or(vec![Goal::Send(ctr::goal::Channel(0)), Goal::atom("b")]),
         ]);
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         rt.deploy_compiled("opt", goal).unwrap();
         let id = rt.start("opt").unwrap();
         rt.fire(id, "a").unwrap();
@@ -1683,7 +830,7 @@ mod tests {
 
     #[test]
     fn unknown_ids_and_names_error() {
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         assert_eq!(
             rt.start("ghost"),
             Err(RuntimeError::UnknownWorkflow("ghost".to_owned()))
@@ -1696,8 +843,8 @@ mod tests {
     fn fire_batch_matches_individual_fires() {
         // A full batch produces the same journal, statuses, and snapshot
         // as the same events fired one by one.
-        let mut batched = runtime_with_pay();
-        let mut single = runtime_with_pay();
+        let batched = runtime_with_pay();
+        let single = runtime_with_pay();
         let ib = batched.start("pay").unwrap();
         let is_ = single.start("pay").unwrap();
         let events = ["invoice", "approve", "file"];
@@ -1716,7 +863,7 @@ mod tests {
 
     #[test]
     fn fire_batch_journals_prefix_and_skips_suffix() {
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         let id = rt.start("pay").unwrap();
         // The second "invoice" is ineligible: the batch must stop there
         // with the first fire already committed.
@@ -1743,7 +890,7 @@ mod tests {
 
     #[test]
     fn fire_batch_rejects_past_completion() {
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         let id = rt.start("pay").unwrap();
         let outcomes = rt
             .fire_batch(id, &["invoice", "approve", "file", "invoice"])
@@ -1757,7 +904,7 @@ mod tests {
 
     #[test]
     fn fire_batch_unknown_instance_is_err() {
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         assert_eq!(
             rt.fire_batch(42, &["invoice"]),
             Err(RuntimeError::UnknownInstance(42))
@@ -1766,7 +913,7 @@ mod tests {
 
     #[test]
     fn empty_fire_batch_is_a_no_op() {
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         let id = rt.start("pay").unwrap();
         let outcomes = rt.fire_batch::<&str>(id, &[]).unwrap();
         assert!(outcomes.is_empty());
@@ -1775,7 +922,7 @@ mod tests {
 
     #[test]
     fn rejected_unknown_event_names_do_not_grow_the_interner() {
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         let id = rt.start("pay").unwrap();
         // Submitting never-interned names must not permanently intern
         // them: a hostile client pumping random names would otherwise
@@ -1845,7 +992,7 @@ mod tests {
         let store = Arc::new(MemStore::new());
         let snap_before;
         {
-            let mut rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn ctr_store::Store>);
+            let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn ctr_store::Store>);
             rt.deploy_source(PAY).unwrap();
             let i1 = rt.start("pay").unwrap();
             let i2 = rt.start("pay").unwrap();
@@ -1859,7 +1006,6 @@ mod tests {
         assert!(rt.is_complete(0).unwrap());
         assert_eq!(rt.replayed_steps(), 4, "recovery replays every fire");
         // Recovered runtimes keep persisting: new ids continue the line.
-        let mut rt = rt;
         assert_eq!(rt.start("pay").unwrap(), 2);
     }
 
@@ -1871,7 +1017,7 @@ mod tests {
         ]);
         let store = Arc::new(MemStore::new());
         {
-            let mut rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn ctr_store::Store>);
+            let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn ctr_store::Store>);
             rt.deploy_compiled("opt", goal).unwrap();
             let id = rt.start("opt").unwrap();
             rt.fire(id, "a").unwrap();
@@ -1884,7 +1030,7 @@ mod tests {
     #[test]
     fn checkpoint_compacts_and_reopens_identically() {
         let store = Arc::new(MemStore::new());
-        let mut rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn ctr_store::Store>);
+        let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn ctr_store::Store>);
         rt.deploy_source(PAY).unwrap();
         let id = rt.start("pay").unwrap();
         rt.fire(id, "invoice").unwrap();
@@ -1902,7 +1048,7 @@ mod tests {
 
     #[test]
     fn storeless_checkpoint_is_a_typed_error() {
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         assert!(matches!(rt.checkpoint(), Err(RuntimeError::Store(_))));
     }
 
@@ -1912,7 +1058,7 @@ mod tests {
         // rebuild from its (now unreplayable) journal: this used to be
         // a debug_assert! — a panic in debug builds, silent cursor
         // corruption in release. It must be a typed Journal error.
-        let mut rt = runtime_with_pay();
+        let rt = runtime_with_pay();
         let id = rt.start("pay").unwrap();
         rt.fire(id, "invoice").unwrap();
         rt.fire(id, "approve").unwrap();
@@ -1924,21 +1070,6 @@ mod tests {
         assert_eq!(rt.eligible(id).unwrap(), vec!["file".to_owned()]);
         rt.fire(id, "file").unwrap();
         assert!(rt.is_complete(id).unwrap());
-    }
-
-    #[test]
-    fn snapshot_into_reuses_the_buffer() {
-        let mut rt = runtime_with_pay();
-        let id = rt.start("pay").unwrap();
-        rt.fire(id, "invoice").unwrap();
-        let expected = rt.snapshot();
-        let mut buf = String::from("stale content from a previous use");
-        rt.snapshot_into(&mut buf);
-        assert_eq!(buf, expected);
-        let cap = buf.capacity();
-        rt.snapshot_into(&mut buf);
-        assert_eq!(buf, expected);
-        assert_eq!(buf.capacity(), cap, "steady state allocates nothing");
     }
 
     const TIMED: &str = r"
@@ -1957,7 +1088,7 @@ mod tests {
 
     #[test]
     fn after_gates_its_event_until_the_clock_advances() {
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         rt.deploy_source(TIMED).unwrap();
         let id = rt.start("timed").unwrap();
         assert_eq!(
@@ -1965,6 +1096,7 @@ mod tests {
             vec![("approve@after30000".to_owned(), 30_000)]
         );
         assert_eq!(rt.pending_timer_count(), 1);
+        assert!(rt.next_timer_due().is_some_and(|due| due <= 30_000));
         rt.fire(id, "invoice").unwrap();
         // The gate holds: approve is not eligible (and the tick is
         // internal, never listed).
@@ -1986,7 +1118,7 @@ mod tests {
 
     #[test]
     fn deadline_satisfied_by_its_base_event_disarms() {
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         rt.deploy_source(GUARDED).unwrap();
         let id = rt.start("guarded").unwrap();
         assert_eq!(
@@ -2005,7 +1137,7 @@ mod tests {
 
     #[test]
     fn deadline_expiry_fires_the_tick_as_a_journal_event() {
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         rt.deploy_source(GUARDED).unwrap();
         let id = rt.start("guarded").unwrap();
         rt.fire(id, "invoice").unwrap();
@@ -2024,7 +1156,7 @@ mod tests {
 
     #[test]
     fn completion_drains_pending_timers() {
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         rt.deploy_source(GUARDED).unwrap();
         let id = rt.start("guarded").unwrap();
         rt.fire(id, "invoice").unwrap();
@@ -2036,7 +1168,7 @@ mod tests {
 
     #[test]
     fn cancel_timer_disarms_and_rejects_unknowns() {
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         rt.deploy_source(TIMED).unwrap();
         let id = rt.start("timed").unwrap();
         assert_eq!(
@@ -2048,6 +1180,7 @@ mod tests {
         );
         rt.cancel_timer(id, "approve@after30000").unwrap();
         assert!(rt.pending_timers(id).unwrap().is_empty());
+        assert_eq!(rt.pending_timer_count(), 0, "the wheel entry is gone too");
         assert_eq!(
             rt.cancel_timer(id, "approve@after30000"),
             Err(RuntimeError::UnknownTimer {
@@ -2061,7 +1194,7 @@ mod tests {
 
     #[test]
     fn timer_snapshot_round_trips_and_expires_identically() {
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         rt.deploy_source(TIMED).unwrap();
         rt.deploy_source(GUARDED).unwrap();
         let t = rt.start("timed").unwrap();
@@ -2073,7 +1206,7 @@ mod tests {
             snap.contains("timer 0 approve@after30000 due 30000"),
             "{snap}"
         );
-        let mut restored = Runtime::restore(&snap).unwrap();
+        let restored = Runtime::restore(&snap).unwrap();
         assert_eq!(restored.snapshot(), snap, "snapshot round-trips");
         assert_eq!(
             restored.pending_timers(t).unwrap(),
@@ -2092,7 +1225,7 @@ mod tests {
         let store = Arc::new(MemStore::new());
         let snap_before;
         {
-            let mut rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn ctr_store::Store>);
+            let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn ctr_store::Store>);
             rt.deploy_source(TIMED).unwrap();
             let id = rt.start("timed").unwrap();
             rt.fire(id, "invoice").unwrap();
@@ -2110,7 +1243,7 @@ mod tests {
             .position(|r| matches!(r, Record::Start { .. }))
             .expect("start record present");
         assert!(arm < start, "arm-before-visible: {records:?}");
-        let mut rt = Runtime::open(store).unwrap();
+        let rt = Runtime::open(store).unwrap();
         assert_eq!(rt.snapshot(), snap_before);
         assert_eq!(
             rt.pending_timers(0).unwrap(),
@@ -2126,7 +1259,7 @@ mod tests {
         let store = Arc::new(MemStore::new());
         let snap_before;
         {
-            let mut rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn ctr_store::Store>);
+            let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn ctr_store::Store>);
             rt.deploy_source(GUARDED).unwrap();
             let id = rt.start("guarded").unwrap();
             rt.fire(id, "invoice").unwrap();
@@ -2151,7 +1284,7 @@ mod tests {
     #[test]
     fn cancel_records_replay_and_checkpoint_keeps_timer_lines() {
         let store = Arc::new(MemStore::new());
-        let mut rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn ctr_store::Store>);
+        let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn ctr_store::Store>);
         rt.deploy_source(TIMED).unwrap();
         rt.deploy_source(GUARDED).unwrap();
         let t = rt.start("timed").unwrap();
@@ -2170,7 +1303,7 @@ mod tests {
         // The goal text still names the tick event; only the armed-timer
         // line must be gone.
         assert!(!baseline.contains("timer 0 "), "cancelled timer gone");
-        let mut rt = Runtime::open(store).unwrap();
+        let rt = Runtime::open(store).unwrap();
         assert_eq!(rt.snapshot(), snap);
         assert!(rt.pending_timers(t).unwrap().is_empty());
         let fired = rt.advance(3_600_000).unwrap();
@@ -2179,7 +1312,7 @@ mod tests {
 
     #[test]
     fn every_timers_stagger_and_fire_in_order() {
-        let mut rt = Runtime::new();
+        let rt = Runtime::new();
         rt.deploy_source(
             "workflow poller { graph connect * repeat(poll, 1, 2) * done; every(poll, 5s); }",
         )

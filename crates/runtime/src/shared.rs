@@ -1,10 +1,10 @@
-//! Thread-safe handles over the runtime, for services where many clients
-//! report events concurrently.
+//! The workflow runtime: deployed definitions plus running instances,
+//! sharded so that many clients can report events concurrently.
 //!
-//! [`SharedRuntime`] is **sharded**: a fleet of independent workflow
-//! instances is exactly the workload the paper's compiled scheduler makes
-//! cheap per instance, so the service layer must not re-serialize it
-//! behind one lock. The state splits three ways:
+//! [`Runtime`] is the crate's one runtime. A fleet of independent
+//! workflow instances is exactly the workload the paper's compiled
+//! scheduler makes cheap per instance, so the runtime must not
+//! re-serialize it behind one lock. The state splits three ways:
 //!
 //! * a **read-mostly deployment registry** behind an [`RwLock`] — deploys
 //!   are rare, `start`/`fire` are hot, and readers only clone an `Arc`;
@@ -13,11 +13,15 @@
 //! * **per-instance state behind its own lock**, so two clients firing
 //!   events on *different* instances never contend.
 //!
-//! The single-instance atomicity guarantee of the coarse-lock design is
-//! preserved *per instance*: eligibility check and journal append happen
-//! under that instance's lock, so of two clients racing to fire
-//! mutually-exclusive branch events exactly one wins and the loser gets
-//! [`RuntimeError::NotEligible`] with the post-commit alternatives.
+//! Single-instance atomicity holds *per instance*: eligibility check
+//! and journal append happen under that instance's lock, so of two
+//! clients racing to fire mutually-exclusive branch events exactly one
+//! wins and the loser gets [`RuntimeError::NotEligible`] with the
+//! post-commit alternatives.
+//!
+//! Every fire entry point — [`Runtime::fire`], [`Runtime::fire_batch`],
+//! [`Runtime::fire_many`] and [`Runtime::fire_runs`] — commits through
+//! the one per-instance commit loop, `Instance::fire_runs`.
 //!
 //! ## Lock order
 //!
@@ -25,11 +29,11 @@
 //! timer state`. The timer wheel and logical clock live behind one
 //! dedicated mutex at the *bottom* of the order: every fire path may
 //! take it briefly while holding an instance lock (derived disarms),
-//! while [`SharedRuntime::advance`] pops the expired batch under the
+//! while [`Runtime::advance`] pops the expired batch under the
 //! timer lock **alone** and only then takes instance locks one at a
 //! time — so expiry never holds the wheel against the fleet.
 //! Operations on one instance take its shard lock only to resolve the id
-//! (releasing it before the instance lock); [`SharedRuntime::snapshot`]
+//! (releasing it before the instance lock); [`Runtime::snapshot`]
 //! takes *every* shard lock in ascending index order and then every
 //! instance lock, freezing the fleet for a consistent point-in-time cut.
 //! No path ever waits on the registry or a shard lock while holding an
@@ -37,9 +41,7 @@
 //! tidiness: `RwLock` readers can queue behind a waiting writer, so a
 //! registry read taken under an instance lock could deadlock against
 //! `snapshot` + a pending deploy. `invalidate` therefore resolves the
-//! deployment *between* instance-lock critical sections.) Snapshot output is **byte-identical** to
-//! [`Runtime::snapshot`] on the same logical state — both serialize
-//! through the same per-deployment/per-instance code.
+//! deployment *between* instance-lock critical sections.)
 //!
 //! With a store attached, the store's own stripe locks sit strictly
 //! *below* every runtime lock (they are only ever taken inside a
@@ -47,7 +49,7 @@
 //! append rides inside the lock that publishes its effect**: deploy
 //! records under the registry write lock, start records under the
 //! destination shard lock, event/complete records under the instance
-//! lock. That discipline is what makes [`SharedRuntime::checkpoint`]'s
+//! lock. That discipline is what makes [`Runtime::checkpoint`]'s
 //! freeze a true cut — holding the registry read lock, every shard
 //! lock, and every instance lock excludes every in-flight control
 //! append, so no record can take a sequence number below the checkpoint
@@ -80,23 +82,28 @@
 //! appends, so acknowledged-but-unsynced records can never be
 //! truncated behind a snapshot that misses them.
 //!
+//! ## Recovery
+//!
+//! [`Runtime::restore`] and [`Runtime::open`] rebuild a fleet on a
+//! private, store-less runtime by replaying through the same public
+//! fire path a live client uses, so every journaled event is
+//! re-validated. The store is attached only once replay finishes, so
+//! recovery never re-appends its own input.
+//!
 //! ## Poisoning
 //!
 //! All locks recover from poisoning (`PoisonError::into_inner`): a panic
 //! mid-operation either completed its journal append or left it
 //! untouched, so the inner state is always valid. The symbol interner
 //! follows the same discipline (see `ctr::symbol`).
-//!
-//! [`CoarseRuntime`] is the retired single-`Mutex` design, kept (and kept
-//! correct) as the measured baseline for the `fleet_mt` benchmark family
-//! in `BENCH_exec.json`.
 
-use crate::render_snapshot;
 use crate::wheel::TimerWheel;
-use crate::TimerFired;
-use crate::{Deployment, FireOutcome, Instance, InstanceId, InstanceStatus, Runtime, RuntimeError};
+use crate::{render_snapshot, TimerFired, SNAPSHOT_HEADER};
+use crate::{Deployment, FireOutcome, Instance, InstanceId, InstanceStatus, RuntimeError};
+use ctr::goal::Goal;
 use ctr::symbol::Symbol;
-use ctr_store::Store;
+use ctr::timer::{parse_tick, TimerKind};
+use ctr_store::{Record, Store, StoreStats};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
@@ -145,19 +152,22 @@ struct Inner {
     /// its segments by the same `id % SHARD_COUNT` rule as the instance
     /// table, so two instances on different shards never contend on a
     /// log stripe either.
-    pub(crate) store: Option<Arc<dyn Store>>,
+    store: Option<Arc<dyn Store>>,
     /// Timer wheel + logical clock; strictly below every other lock.
     timers: Mutex<TimerState>,
 }
 
-/// A cloneable, `Send + Sync`, sharded handle to a workflow runtime.
+/// The workflow runtime: deployed definitions plus running instances.
 ///
-/// See the module docs for the locking model. The API mirrors
-/// [`Runtime`]; every method is `&self`.
+/// A cloneable, `Send + Sync` handle; clones share one fleet. Every
+/// method is `&self`. See the module docs for the locking model.
 #[derive(Clone, Default)]
-pub struct SharedRuntime {
+pub struct Runtime {
     inner: Arc<Inner>,
 }
+
+/// Another name for [`Runtime`], kept for callers that use it.
+pub type SharedRuntime = Runtime;
 
 impl Default for Inner {
     fn default() -> Inner {
@@ -197,116 +207,341 @@ impl Inner {
     }
 }
 
-impl SharedRuntime {
-    /// Wraps an empty runtime.
-    pub fn new() -> SharedRuntime {
-        SharedRuntime::default()
+impl Runtime {
+    /// An empty runtime.
+    pub fn new() -> Runtime {
+        Runtime::default()
     }
 
-    /// Adopts the state of an existing single-threaded runtime —
-    /// including its attached store, if any — distributing its
-    /// instances over the shards.
-    pub fn from_runtime(rt: Runtime) -> SharedRuntime {
-        let shared = SharedRuntime {
+    /// An empty runtime persisting through `store`. Anything the store
+    /// already holds is ignored — use [`Runtime::open`] to recover.
+    pub fn with_store(store: Arc<dyn Store>) -> Runtime {
+        Runtime {
             inner: Arc::new(Inner {
-                store: rt.store,
-                // The wheel moves over whole: instance timer tokens
-                // stay valid against its slab.
-                timers: Mutex::new(TimerState {
-                    wheel: rt.wheel,
-                    clock_ms: rt.clock_ms,
-                }),
+                store: Some(store),
                 ..Inner::default()
             }),
-        };
-        *shared
-            .inner
-            .registry
-            .write()
-            .unwrap_or_else(PoisonError::into_inner) = rt.deployments;
-        for (id, instance) in rt.instances {
-            lock(&shared.inner.shard(id).instances).insert(id, Arc::new(Mutex::new(instance)));
         }
-        shared.inner.next_id.store(rt.next_id, Ordering::Relaxed);
-        shared.inner.replayed.store(rt.replayed, Ordering::Relaxed);
-        shared
     }
 
-    /// See [`Runtime::restore`]: replay-validates the snapshot, then
-    /// shards the result.
-    pub fn restore(snapshot: &str) -> Result<SharedRuntime, RuntimeError> {
-        Ok(SharedRuntime::from_runtime(Runtime::restore(snapshot)?))
+    /// Recovers a runtime from everything `store` retained — the latest
+    /// checkpoint snapshot first, then every post-checkpoint record in
+    /// append order, each re-validated exactly like a live call (replayed
+    /// fires count toward [`Runtime::replayed_steps`]). The store is
+    /// attached only after replay, so recovery never re-appends its own
+    /// input. Fails with [`RuntimeError::Store`] if the store cannot be
+    /// read, or a replay-level error if its contents do not re-validate.
+    pub fn open(store: Arc<dyn Store>) -> Result<Runtime, RuntimeError> {
+        let replay = store
+            .replay()
+            .map_err(|e| RuntimeError::Store(e.to_string()))?;
+        let mut rt = match &replay.snapshot {
+            Some(snapshot) => Runtime::restore(snapshot)?,
+            None => Runtime::new(),
+        };
+        // Arm-before-visible buffering: a TimerArm only takes effect
+        // when its Start follows. A crash between the two appends
+        // leaves an orphan arm, which simply never leaves this map.
+        let mut buffered_arms: BTreeMap<InstanceId, Vec<(String, u64)>> = BTreeMap::new();
+        for record in replay.records {
+            match record {
+                Record::Deploy { name, goal } => {
+                    let goal = ctr_parser::parse_goal(&goal).map_err(|e| {
+                        RuntimeError::Journal(format!("deploy record for `{name}`: {e}"))
+                    })?;
+                    rt.deploy_compiled(&name, goal)?;
+                }
+                Record::TimerArm { instance, timers } => {
+                    buffered_arms.insert(instance, timers);
+                }
+                Record::Start { instance, workflow } => {
+                    let arms = buffered_arms.remove(&instance).unwrap_or_default();
+                    rt.adopt_instance(instance, &workflow, &arms)?;
+                }
+                Record::Events { instance, events } => {
+                    rt.replay_run(instance, &events).map_err(|(i, e)| {
+                        RuntimeError::Journal(format!(
+                            "instance {instance}: replaying event `{}`: {e}",
+                            events[i]
+                        ))
+                    })?;
+                }
+                Record::TimerFire {
+                    instance,
+                    event,
+                    at_ms,
+                } => {
+                    rt.replay_timer_fire(instance, &event, at_ms)?;
+                    rt.inner.replayed.fetch_add(1, Ordering::Relaxed);
+                }
+                Record::TimerCancel { instance, event } => {
+                    rt.replay_timer_cancel(instance, &event);
+                }
+                Record::Complete { instance } => {
+                    rt.try_complete(instance)?;
+                }
+            }
+        }
+        Arc::get_mut(&mut rt.inner)
+            .expect("recovery holds the only handle")
+            .store = Some(store);
+        Ok(rt)
     }
 
-    /// An empty sharded runtime persisting through `store`; see
-    /// [`Runtime::with_store`].
-    pub fn with_store(store: Arc<dyn Store>) -> SharedRuntime {
-        SharedRuntime::from_runtime(Runtime::with_store(store))
+    /// Restores a runtime from a snapshot, re-validating every journal by
+    /// replay.
+    pub fn restore(snapshot: &str) -> Result<Runtime, RuntimeError> {
+        let mut lines = snapshot.lines();
+        if lines.next() != Some(SNAPSHOT_HEADER) {
+            return Err(RuntimeError::Snapshot(
+                "missing or unknown header".to_owned(),
+            ));
+        }
+        let rt = Runtime::new();
+        for line in lines {
+            if line.trim().is_empty() {
+                continue;
+            }
+            if let Some(rest) = line.strip_prefix("workflow ") {
+                let (name, goal_text) = rest
+                    .split_once(" := ")
+                    .ok_or_else(|| RuntimeError::Snapshot(format!("bad workflow line: {line}")))?;
+                let goal = ctr_parser::parse_goal(goal_text)
+                    .map_err(|e| RuntimeError::Snapshot(e.to_string()))?;
+                rt.deploy_compiled(name, goal)?;
+            } else if let Some(rest) = line.strip_prefix("instance ") {
+                let (head, journal_text) = rest
+                    .split_once("]: ")
+                    .or_else(|| rest.split_once("]:").map(|(h, _)| (h, "")))
+                    .ok_or_else(|| RuntimeError::Snapshot(format!("bad instance line: {line}")))?;
+                // head = "<id> of <workflow> [<status>"
+                let mut parts = head.split_whitespace();
+                let id: InstanceId = parts
+                    .next()
+                    .and_then(|s| s.parse().ok())
+                    .ok_or_else(|| RuntimeError::Snapshot(format!("bad instance id: {line}")))?;
+                let workflow = match (parts.next(), parts.next()) {
+                    (Some("of"), Some(w)) => w.to_owned(),
+                    _ => return Err(RuntimeError::Snapshot(format!("bad instance line: {line}"))),
+                };
+                let Ok(deployment) = rt.inner.deployment(&workflow) else {
+                    return Err(RuntimeError::Snapshot(format!(
+                        "instance {id} references unknown workflow `{workflow}`"
+                    )));
+                };
+                rt.publish(id, Instance::new(workflow, Arc::clone(&deployment.program)));
+                // Replay through the public fire path so every journaled
+                // event is re-validated. This is the one place cursors
+                // are materialized by replay rather than advanced in place.
+                let events: Vec<&str> = journal_text.split_whitespace().collect();
+                rt.replay_run(id, &events).map_err(|(_, e)| e)?;
+                if head.ends_with("[completed") {
+                    // Completion may have come from silent finishing.
+                    rt.try_complete(id)?;
+                }
+            } else if let Some(rest) = line.strip_prefix("timer ") {
+                // timer <instance> <tick> due <ms>
+                let mut parts = rest.split_whitespace();
+                let id: InstanceId = parts
+                    .next()
+                    .and_then(|s| s.parse().ok())
+                    .ok_or_else(|| RuntimeError::Snapshot(format!("bad timer line: {line}")))?;
+                let (name, due) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
+                    (Some(name), Some("due"), Some(due), None) => (
+                        name,
+                        due.parse::<u64>().map_err(|_| {
+                            RuntimeError::Snapshot(format!("bad timer due: {line}"))
+                        })?,
+                    ),
+                    _ => return Err(RuntimeError::Snapshot(format!("bad timer line: {line}"))),
+                };
+                let Ok(cell) = rt.inner.instance(id) else {
+                    return Err(RuntimeError::Snapshot(format!(
+                        "timer line references unknown instance {id}"
+                    )));
+                };
+                // The tick was interned when the workflow goal parsed.
+                let tick = Symbol::try_get(name).ok_or_else(|| {
+                    RuntimeError::Snapshot(format!("timer line references unknown event `{name}`"))
+                })?;
+                rt.arm_recovered(&mut lock(&cell), id, tick, due);
+            } else {
+                return Err(RuntimeError::Snapshot(format!("unrecognized line: {line}")));
+            }
+        }
+        Ok(rt)
     }
 
-    /// Recovers a sharded runtime from `store` — see [`Runtime::open`]
-    /// — then distributes the recovered fleet over the shards with the
-    /// store attached.
-    pub fn open(store: Arc<dyn Store>) -> Result<SharedRuntime, RuntimeError> {
-        Ok(SharedRuntime::from_runtime(Runtime::open(store)?))
-    }
-
-    /// See [`Runtime::deploy_source`]. Parsing and compilation run
-    /// outside any lock; the registry write lock covers the durable
-    /// deploy append *and* the insert, so the record is durable before
-    /// the registry exposes the deployment — and a fleet frozen under
-    /// the registry read lock ([`SharedRuntime::checkpoint`]) has no
-    /// in-flight deploy whose record could predate the checkpoint cut
-    /// yet miss its snapshot.
-    pub fn deploy_source(&self, source: &str) -> Result<String, RuntimeError> {
-        let mut staging = Runtime::new();
-        let name = staging.deploy_source(source)?;
-        let deployment = staging.deployments.remove(&name).expect("just deployed");
-        let mut registry = self
-            .inner
-            .registry
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        self.persist_deploy(&name, &deployment)?;
-        registry.insert(name.clone(), deployment);
-        Ok(name)
-    }
-
-    /// See [`Runtime::deploy_compiled`]. Compilation runs outside any
-    /// lock; append + insert share the registry write lock (see
-    /// [`SharedRuntime::deploy_source`]). Running instances keep the
-    /// program they started with.
-    pub fn deploy_compiled(
+    /// Adopts an instance under a caller-chosen id — the recovery path
+    /// for durable [`Record::Start`] records, which must reproduce the
+    /// exact ids clients were given before the crash. `arms` carries
+    /// the instance's buffered [`Record::TimerArm`] dues (absolute ms),
+    /// re-armed here exactly as the pre-crash start armed them.
+    fn adopt_instance(
         &self,
-        name: &str,
-        compiled: ctr::goal::Goal,
+        id: InstanceId,
+        workflow: &str,
+        arms: &[(String, u64)],
     ) -> Result<(), RuntimeError> {
-        let mut staging = Runtime::new();
-        staging.deploy_compiled(name, compiled)?;
-        let deployment = staging.deployments.remove(name).expect("just deployed");
-        let mut registry = self
-            .inner
-            .registry
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        self.persist_deploy(name, &deployment)?;
-        registry.insert(name.to_owned(), deployment);
+        let deployment = self.inner.deployment(workflow)?;
+        if self.inner.instance(id).is_ok() {
+            return Err(RuntimeError::Journal(format!(
+                "duplicate start record for instance {id}"
+            )));
+        }
+        let mut instance = Instance::new(workflow.to_owned(), Arc::clone(&deployment.program));
+        for (name, due) in arms {
+            let tick = Symbol::try_get(name).ok_or_else(|| {
+                RuntimeError::Journal(format!(
+                    "arm record for instance {id} references unknown timer event `{name}`"
+                ))
+            })?;
+            self.arm_recovered(&mut instance, id, tick, *due);
+        }
+        self.publish(id, instance);
         Ok(())
     }
 
-    /// Write-ahead append of a deploy record (no-op without a store).
-    /// The staging runtime above is store-less on purpose: the record is
-    /// appended exactly once, here — and always with the registry write
-    /// lock held, see [`SharedRuntime::deploy_source`].
-    fn persist_deploy(&self, name: &str, deployment: &Deployment) -> Result<(), RuntimeError> {
+    /// Inserts a recovered instance under its original id; fresh ids
+    /// continue past it.
+    fn publish(&self, id: InstanceId, instance: Instance) {
+        lock(&self.inner.shard(id).instances).insert(id, Arc::new(Mutex::new(instance)));
+        self.inner
+            .next_id
+            .fetch_max(id.saturating_add(1), Ordering::Relaxed);
+    }
+
+    /// Arms a recovered timer on the wheel and on its instance; a
+    /// deadline tick is disarmed later by its base event.
+    fn arm_recovered(&self, inst: &mut Instance, id: InstanceId, tick: Symbol, due: u64) {
+        let base = parse_tick(tick.as_str()).and_then(|t| match t.kind {
+            TimerKind::Deadline => Symbol::try_get(t.base),
+            TimerKind::After => None,
+        });
+        let token = lock(&self.inner.timers).wheel.arm(due, (id, tick));
+        inst.arm_timer(tick, due, base, token);
+    }
+
+    /// Re-fires a journaled run through [`Runtime::fire_batch`],
+    /// counting each fire as replay work. On rejection, returns the
+    /// position of the failing event and its error.
+    fn replay_run<S: AsRef<str>>(
+        &self,
+        id: InstanceId,
+        events: &[S],
+    ) -> Result<(), (usize, RuntimeError)> {
+        if events.is_empty() {
+            return Ok(());
+        }
+        let outcomes = self.fire_batch(id, events).map_err(|e| (0, e))?;
+        for (i, outcome) in outcomes.into_iter().enumerate() {
+            match outcome {
+                FireOutcome::Fired(_) => {
+                    self.inner.replayed.fetch_add(1, Ordering::Relaxed);
+                }
+                FireOutcome::Rejected(e) => return Err((i, e)),
+                FireOutcome::Skipped => unreachable!("a run skips only after a rejection"),
+            }
+        }
+        Ok(())
+    }
+
+    /// Replays a durable [`Record::TimerFire`]: restores the clock
+    /// watermark and fires the tick exactly as the pre-crash advance
+    /// did.
+    fn replay_timer_fire(
+        &self,
+        id: InstanceId,
+        event: &str,
+        at_ms: u64,
+    ) -> Result<(), RuntimeError> {
+        {
+            let mut ts = lock(&self.inner.timers);
+            ts.clock_ms = ts.clock_ms.max(at_ms);
+        }
+        let tick = Symbol::try_get(event).ok_or_else(|| {
+            RuntimeError::Journal(format!(
+                "timer fire for instance {id} references unknown event `{event}`"
+            ))
+        })?;
+        let cell = self
+            .inner
+            .instance(id)
+            .map_err(|_| RuntimeError::Journal(format!("timer fire for unknown instance {id}")))?;
+        let mut inst = lock(&cell);
+        if let Some(armed) = inst.take_timer(tick) {
+            lock(&self.inner.timers).wheel.cancel(armed.token);
+        }
+        let before = inst.journal.len();
+        match inst.fire_timer(id, tick, at_ms, None)? {
+            TimerFired::Fired => {
+                self.settle(&mut inst, before);
+                Ok(())
+            }
+            TimerFired::Vacuous => Err(RuntimeError::Journal(format!(
+                "instance {id}: replaying timer fire `{event}`: not eligible"
+            ))),
+        }
+    }
+
+    /// Replays a durable [`Record::TimerCancel`]. Lenient about an
+    /// already-absent timer: the record may follow a derived disarm the
+    /// event replay has reproduced on its own.
+    fn replay_timer_cancel(&self, id: InstanceId, event: &str) {
+        let (Some(tick), Ok(cell)) = (Symbol::try_get(event), self.inner.instance(id)) else {
+            return;
+        };
+        let armed = lock(&cell).take_timer(tick);
+        if let Some(armed) = armed {
+            lock(&self.inner.timers).wheel.cancel(armed.token);
+        }
+    }
+
+    /// Deploys a specification from its textual source. Compiles the
+    /// graph, triggers, sub-workflows, and constraints once, outside any
+    /// lock; inconsistent specifications are rejected outright (there
+    /// would be nothing to schedule).
+    pub fn deploy_source(&self, source: &str) -> Result<String, RuntimeError> {
+        let spec =
+            ctr_parser::parse_spec(source).map_err(|e| RuntimeError::Parse(e.to_string()))?;
+        let name = spec.name.clone();
+        let compiled = spec
+            .compile()
+            .map_err(|e| RuntimeError::Compile(e.to_string()))?;
+        if !compiled.is_consistent() {
+            return Err(RuntimeError::Inconsistent(name));
+        }
+        self.deploy_compiled(&name, compiled.goal)?;
+        Ok(name)
+    }
+
+    /// Deploys an already-compiled goal under a name.
+    ///
+    /// Compilation runs outside any lock; the registry write lock
+    /// covers the durable deploy append *and* the insert, so the record
+    /// is durable before the registry exposes the deployment — and a
+    /// fleet frozen under the registry read lock
+    /// ([`Runtime::checkpoint`]) has no in-flight deploy whose record
+    /// could predate the checkpoint cut yet miss its snapshot.
+    /// Re-deploying a name only affects instances started afterwards:
+    /// running instances keep (and share, via `Arc`) the program they
+    /// were started with.
+    pub fn deploy_compiled(&self, name: &str, compiled: Goal) -> Result<(), RuntimeError> {
+        let deployment = Deployment::new(compiled)?;
+        let mut registry = self
+            .inner
+            .registry
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
         if let Some(store) = &self.inner.store {
             store
-                .append(&ctr_store::Record::Deploy {
+                .append(&Record::Deploy {
                     name: name.to_owned(),
                     goal: deployment.rendered.clone(),
                 })
                 .map_err(|e| RuntimeError::Store(e.to_string()))?;
         }
+        registry.insert(name.to_owned(), Arc::new(deployment));
         Ok(())
     }
 
@@ -321,14 +556,16 @@ impl SharedRuntime {
             .collect()
     }
 
-    /// See [`Runtime::start`]. Takes the registry read lock (shared with
-    /// other starters) and one shard lock covering the durable start
+    /// Starts a new instance of a deployed workflow, materializing its
+    /// cursor once (it shares the deployment's compiled program) and
+    /// arming its timers at `clock + delay`. Takes the registry read
+    /// lock (shared with other starters) and one shard lock covering the durable start
     /// append *and* the insert. With a store attached the start record
     /// is durable before the instance becomes visible — so any event
     /// subsequently fired on it lands in the log strictly after its
     /// start (same stripe, later sequence number) — and, because the
     /// append happens *under the destination shard's lock*, a fleet
-    /// frozen by [`SharedRuntime::checkpoint`] (which holds every shard
+    /// frozen by [`Runtime::checkpoint`] (which holds every shard
     /// lock) has no in-flight start whose record could predate the
     /// checkpoint cut yet miss its snapshot. A failed persist burns the
     /// allocated id, which is harmless: ids only ever need to be unique
@@ -337,7 +574,7 @@ impl SharedRuntime {
     /// visible discipline: the [`ctr_store::Record::TimerArm`] record
     /// (absolute dues off one clock read) precedes the start record,
     /// and the instance cell is **locked before it is published** — no
-    /// client, and no concurrent [`SharedRuntime::advance`], can
+    /// client, and no concurrent [`Runtime::advance`], can
     /// observe the instance until its wheel entries and its own timer
     /// list agree.
     pub fn start(&self, workflow: &str) -> Result<InstanceId, RuntimeError> {
@@ -417,26 +654,35 @@ impl SharedRuntime {
         }
     }
 
-    /// See [`Runtime::fire`] — atomic with respect to other clients *of
-    /// this instance*; clients of other instances proceed concurrently.
+    /// Fires an external event against an instance. Rejects events the
+    /// compiled schedule does not allow at this stage — no run-time
+    /// constraint checking, just structural eligibility. Atomic with
+    /// respect to other clients *of this instance*; clients of other
+    /// instances proceed concurrently. A one-event
+    /// [`Runtime::fire_batch`].
     pub fn fire(&self, id: InstanceId, event: &str) -> Result<InstanceStatus, RuntimeError> {
-        let cell = self.inner.instance(id)?;
-        let mut inst = lock(&cell);
-        let before = inst.journal.len();
-        let result = inst.fire(id, event, self.inner.store.as_deref());
-        if result.is_ok() {
-            self.settle(&mut inst, before);
+        match self.fire_batch(id, &[event])?.pop() {
+            Some(FireOutcome::Fired(status)) => Ok(status),
+            Some(FireOutcome::Rejected(e)) => Err(e),
+            _ => unreachable!("a one-event run reports its one event"),
         }
-        result
     }
 
-    /// See [`Runtime::fire_batch`]: fires a batch of events against one
-    /// instance under a **single** shard-lock resolution and a **single**
-    /// instance-lock acquisition — the whole batch is one atomic section
-    /// with respect to other clients of this instance. Partial-failure
-    /// semantics are those of [`Runtime::fire_batch`] (stop at first
-    /// failure, committed prefix journaled, suffix
-    /// [`FireOutcome::Skipped`]).
+    /// Fires a batch of events against one instance in order, under a
+    /// single shard-lock resolution and a single instance-lock
+    /// acquisition — the whole batch is one atomic section with respect
+    /// to other clients of this instance, and one store append.
+    ///
+    /// Partial-failure semantics: the batch stops at the first event that
+    /// cannot fire — the committed prefix stays journaled (exactly the
+    /// journal a sequence of individual [`Runtime::fire`] calls would
+    /// have produced), the failing event reports
+    /// [`FireOutcome::Rejected`], and the remaining events report
+    /// [`FireOutcome::Skipped`] untried. If the store append fails,
+    /// nothing commits: the first event reports [`RuntimeError::Store`]
+    /// and the rest are skipped. Returns one [`FireOutcome`] per input
+    /// event; `Err` when the instance id is unknown, or when rolling back
+    /// a failed append finds the journal unreplayable.
     pub fn fire_batch<S: AsRef<str>>(
         &self,
         id: InstanceId,
@@ -445,168 +691,43 @@ impl SharedRuntime {
         let cell = self.inner.instance(id)?;
         let mut inst = lock(&cell);
         let before = inst.journal.len();
-        let outcomes = inst.fire_batch(id, events, self.inner.store.as_deref());
-        if outcomes.is_ok() {
-            self.settle(&mut inst, before);
-        }
-        outcomes
+        let mut runs = inst.fire_runs(id, &[events], self.inner.store.as_deref())?;
+        self.settle(&mut inst, before);
+        Ok(runs.pop().expect("one outcome vector per run"))
     }
 
-    /// Fires a mixed batch of `(instance, event)` pairs, amortizing lock
-    /// traffic across the fleet: the batch is grouped by shard (one
-    /// shard-lock acquisition per *referenced shard* to resolve ids, not
-    /// one per event), then by instance (one instance-lock acquisition
-    /// per referenced instance, processed in first-appearance order).
+    /// Fires a mixed batch of `(instance, event)` pairs as one
+    /// [`Runtime::fire_runs`] burst: the pairs are grouped into one run
+    /// per instance (keeping their input order), and the outcomes are
+    /// spliced back into input positions.
     ///
-    /// Within each instance its events fire in input order with
-    /// [`Runtime::fire_batch`] semantics: first failure stops *that
-    /// instance's* sub-batch (committed prefix journaled, rest
-    /// [`FireOutcome::Skipped`]) while other instances' sub-batches
-    /// proceed independently. An unknown instance id rejects its first
-    /// event with [`RuntimeError::UnknownInstance`] and skips the rest.
-    /// Returns one [`FireOutcome`] per input pair, in input positions.
-    ///
-    /// Lock order is preserved: shard locks are taken one at a time in
-    /// ascending index order (each released before the next), and
-    /// instance locks one at a time after all shard locks are released.
+    /// Each instance's events therefore fire with
+    /// [`Runtime::fire_batch`] semantics — the first failure stops *that
+    /// instance's* events (committed prefix journaled, rest
+    /// [`FireOutcome::Skipped`]) while other instances proceed — under
+    /// one instance-lock acquisition and one store append per instance.
+    /// An unknown instance id rejects its first event with
+    /// [`RuntimeError::UnknownInstance`] and skips the rest. Returns one
+    /// [`FireOutcome`] per input pair.
     pub fn fire_many<S: AsRef<str>>(&self, batch: &[(InstanceId, S)]) -> Vec<FireOutcome> {
-        // Fast path: a batch whose instance ids are pairwise distinct
-        // (the common interleaved-arrival shape — one event per instance
-        // per batch) needs none of the grouping bookkeeping below. Its
-        // per-instance runs are singletons, so per-instance order is
-        // input order, and a plain `fire` per pair under the same
-        // shard-by-shard resolution gives identical outcomes while
-        // skipping the order/group/cell maps whose allocations used to
-        // make these batches *trail* sequential fires.
-        let mut sorted_ids: Vec<InstanceId> = batch.iter().map(|(id, _)| *id).collect();
-        sorted_ids.sort_unstable();
-        if sorted_ids.windows(2).all(|w| w[0] != w[1]) {
-            return self.fire_many_singletons(batch);
+        // A stable sort keeps each instance's events in input order.
+        let mut positions: Vec<usize> = (0..batch.len()).collect();
+        positions.sort_by_key(|&i| batch[i].0);
+        let events: Vec<&str> = positions.iter().map(|&i| batch[i].1.as_ref()).collect();
+        let mut runs: Vec<(InstanceId, &[&str])> = Vec::new();
+        let mut start = 0;
+        for group in positions.chunk_by(|&a, &b| batch[a].0 == batch[b].0) {
+            runs.push((batch[group[0]].0, &events[start..start + group.len()]));
+            start += group.len();
         }
-        drop(sorted_ids);
-        // Group event positions per instance, keeping first-appearance
-        // order so cross-instance progress stays deterministic.
-        let mut order: Vec<InstanceId> = Vec::new();
-        let mut groups: BTreeMap<InstanceId, Vec<usize>> = BTreeMap::new();
-        for (i, (id, _)) in batch.iter().enumerate() {
-            groups
-                .entry(*id)
-                .or_insert_with(|| {
-                    order.push(*id);
-                    Vec::new()
-                })
-                .push(i);
-        }
-        // Resolve cells shard by shard: one lock per referenced shard.
-        let mut by_shard: [Vec<InstanceId>; SHARD_COUNT] = std::array::from_fn(|_| Vec::new());
-        for &id in groups.keys() {
-            by_shard[(id % SHARD_COUNT as u64) as usize].push(id);
-        }
-        let mut cells: BTreeMap<InstanceId, Option<InstanceCell>> = BTreeMap::new();
-        for (s, ids) in by_shard.iter().enumerate() {
-            if ids.is_empty() {
-                continue;
-            }
-            let shard = lock(&self.inner.shards[s].instances);
-            for &id in ids {
-                cells.insert(id, shard.get(&id).cloned());
-            }
-        }
-        // Fire per instance: one instance-lock acquisition each, events
-        // spliced back to their input positions.
-        let mut outcomes: Vec<Option<FireOutcome>> = vec![None; batch.len()];
-        let mut events: Vec<&str> = Vec::new();
-        for id in order {
-            let positions = &groups[&id];
-            match &cells[&id] {
-                None => {
-                    let mut first = true;
-                    for &i in positions {
-                        outcomes[i] = Some(if std::mem::take(&mut first) {
-                            FireOutcome::Rejected(RuntimeError::UnknownInstance(id))
-                        } else {
-                            FireOutcome::Skipped
-                        });
-                    }
-                }
-                Some(cell) => {
-                    events.clear();
-                    events.extend(positions.iter().map(|&i| batch[i].1.as_ref()));
-                    let mut inst = lock(cell);
-                    let before = inst.journal.len();
-                    let result = inst.fire_batch(id, &events, self.inner.store.as_deref());
-                    if result.is_ok() {
-                        self.settle(&mut inst, before);
-                    }
-                    drop(inst);
-                    match result {
-                        Ok(per) => {
-                            for (&i, outcome) in positions.iter().zip(per) {
-                                outcomes[i] = Some(outcome);
-                            }
-                        }
-                        // The rollback itself failed (unreplayable
-                        // journal): surface it on this instance's first
-                        // position, skip the rest, and leave the other
-                        // instances' sub-batches to proceed.
-                        Err(e) => {
-                            let mut first = Some(e);
-                            for &i in positions {
-                                outcomes[i] = Some(match first.take() {
-                                    Some(e) => FireOutcome::Rejected(e),
-                                    None => FireOutcome::Skipped,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
+        let mut outcomes = vec![FireOutcome::Skipped; batch.len()];
+        for (&i, outcome) in positions
+            .iter()
+            .zip(self.fire_runs(&runs).into_iter().flatten())
+        {
+            outcomes[i] = outcome;
         }
         outcomes
-            .into_iter()
-            .map(|o| o.expect("every position resolved"))
-            .collect()
-    }
-
-    /// [`SharedRuntime::fire_many`] for batches with pairwise-distinct
-    /// ids: shard-by-shard cell resolution (ascending, one lock per
-    /// referenced shard — same lock order as the general path), then one
-    /// plain `fire` per pair in input order. No grouping maps: the only
-    /// allocations are the flat position/cell vectors.
-    fn fire_many_singletons<S: AsRef<str>>(&self, batch: &[(InstanceId, S)]) -> Vec<FireOutcome> {
-        let mut by_shard: [Vec<usize>; SHARD_COUNT] = std::array::from_fn(|_| Vec::new());
-        for (i, (id, _)) in batch.iter().enumerate() {
-            by_shard[(id % SHARD_COUNT as u64) as usize].push(i);
-        }
-        let mut cells: Vec<Option<InstanceCell>> = Vec::new();
-        cells.resize_with(batch.len(), || None);
-        for (s, positions) in by_shard.iter().enumerate() {
-            if positions.is_empty() {
-                continue;
-            }
-            let shard = lock(&self.inner.shards[s].instances);
-            for &i in positions {
-                cells[i] = shard.get(&batch[i].0).cloned();
-            }
-        }
-        batch
-            .iter()
-            .zip(&cells)
-            .map(|((id, event), cell)| match cell {
-                None => FireOutcome::Rejected(RuntimeError::UnknownInstance(*id)),
-                Some(cell) => {
-                    let mut inst = lock(cell);
-                    let before = inst.journal.len();
-                    match inst.fire(*id, event.as_ref(), self.inner.store.as_deref()) {
-                        Ok(status) => {
-                            self.settle(&mut inst, before);
-                            FireOutcome::Fired(status)
-                        }
-                        Err(e) => FireOutcome::Rejected(e),
-                    }
-                }
-            })
-            .collect()
     }
 
     /// Fires a burst of independent *runs* — `(instance, events)`
@@ -625,11 +746,10 @@ impl SharedRuntime {
     /// into a wider failure domain (except store-append failure, where
     /// the burst is one commit unit and nothing is acknowledged).
     ///
-    /// Returns one outcome vector per input run, in input positions. An
-    /// unknown instance rejects the first event of its first run and
-    /// skips everything else addressed to it. Lock order is the
-    /// [`SharedRuntime::fire_many`] order: shard locks one at a time
-    /// ascending, then instance locks one at a time.
+    /// Returns one outcome vector per input run, in input positions.
+    /// Every run against an unknown instance rejects its first event and
+    /// skips the rest. Locks follow the module's lock order: shard locks
+    /// one at a time ascending, then instance locks one at a time.
     pub fn fire_runs<S: AsRef<str>>(&self, runs: &[(InstanceId, &[S])]) -> Vec<Vec<FireOutcome>> {
         // Group run positions per instance, first-appearance order.
         let mut order: Vec<InstanceId> = Vec::new();
@@ -721,13 +841,16 @@ impl SharedRuntime {
 
     // --- Timers -------------------------------------------------------------
 
-    /// See [`Runtime::clock_ms`].
+    /// The runtime's logical clock, in ms. Starts at zero and moves
+    /// only through [`Runtime::advance`] — the runtime has no wall
+    /// clock of its own, which keeps expiry deterministic under test.
     pub fn clock_ms(&self) -> u64 {
         lock(&self.inner.timers).clock_ms
     }
 
-    /// See [`Runtime::pending_timers`] — reads only the instance's own
-    /// timer list, under its lock.
+    /// Pending timers of an instance as `(tick event, absolute due ms)`
+    /// pairs, sorted by tick name — read from the instance's own timer
+    /// list, under its lock.
     pub fn pending_timers(&self, id: InstanceId) -> Result<Vec<(String, u64)>, RuntimeError> {
         let cell = self.inner.instance(id)?;
         let inst = lock(&cell);
@@ -740,24 +863,36 @@ impl SharedRuntime {
         Ok(out)
     }
 
-    /// See [`Runtime::pending_timer_count`].
+    /// Total pending timers across the fleet — O(1) from the wheel.
     pub fn pending_timer_count(&self) -> usize {
         lock(&self.inner.timers).wheel.len()
     }
 
-    /// See [`Runtime::next_timer_due`].
+    /// The earliest pending due across all instances, as a lower bound
+    /// usable for sleeping; `None` when nothing is armed.
     pub fn next_timer_due(&self) -> Option<u64> {
         lock(&self.inner.timers).wheel.next_due()
     }
 
-    /// See [`Runtime::advance`] — same deterministic `(due, instance,
-    /// tick)` expiry order and write-ahead discipline. The expired
-    /// batch is popped (and the clock moved) under the timer lock
-    /// alone; each expiry then fires under its own instance lock, so a
-    /// fleet-wide advance never serializes unrelated client fires. A
-    /// timer a client disarmed between pop and fire is skipped — the
+    /// Advances the logical clock to `to_ms`, expiring every timer due
+    /// by then in deterministic `(due, instance, tick)` order. Each
+    /// expired tick fires as an ordinary journal event, write-ahead as
+    /// [`Record::TimerFire`]; a tick whose deadline was structurally
+    /// satisfied without the derived disarm catching it resolves
+    /// vacuously (journaled [`Record::TimerCancel`]). Returns the
+    /// `(instance, tick)` pairs that fired.
+    ///
+    /// The expired batch is popped (and the clock moved) under the timer
+    /// lock alone; each expiry then fires under its own instance lock,
+    /// so a fleet-wide advance never serializes unrelated client fires.
+    /// A timer a client disarmed between pop and fire is skipped — the
     /// instance's own list is the source of truth, and `take_timer`
     /// under the instance lock makes each expiry exactly-once.
+    ///
+    /// On a store error the failed expiry and the rest of the popped
+    /// batch are re-armed untouched, so a retry with the same `to_ms`
+    /// fires exactly that unfired tail. Once an advance returns `Ok`, no
+    /// pending timer is due at or before `to_ms`.
     pub fn advance(&self, to_ms: u64) -> Result<Vec<(InstanceId, String)>, RuntimeError> {
         let mut due_now = {
             let mut ts = lock(&self.inner.timers);
@@ -812,10 +947,12 @@ impl SharedRuntime {
         Ok(out)
     }
 
-    /// See [`Runtime::cancel_timer`] — the write-ahead
-    /// [`ctr_store::Record::TimerCancel`] append rides under the
-    /// instance lock, so a checkpoint freeze excludes it like any other
-    /// control record.
+    /// Explicitly disarms a pending timer by its tick event name,
+    /// journaling [`Record::TimerCancel`] write-ahead. Unlike the
+    /// derived disarms (deadline satisfied, instance completed), an API
+    /// cancel is not reproducible from the event journal, so it must be
+    /// its own record. The append rides under the instance lock, so a
+    /// checkpoint freeze excludes it like any other control record.
     pub fn cancel_timer(&self, id: InstanceId, event: &str) -> Result<(), RuntimeError> {
         let cell = self.inner.instance(id)?;
         let mut inst = lock(&cell);
@@ -840,43 +977,47 @@ impl SharedRuntime {
         Ok(())
     }
 
-    /// See [`Runtime::eligible`]. The answer is a snapshot: another
-    /// client may commit a branch before you act on it — `fire` remains
-    /// the arbiter.
+    /// The observable events eligible to fire now, deduplicated and
+    /// sorted — the pro-active scheduler's answer to "what can happen
+    /// next?" (§4). Reads the cached cursor: O(eligible), not O(journal).
+    /// The answer is a snapshot: another client may commit a branch
+    /// before you act on it — `fire` remains the arbiter.
     pub fn eligible(&self, id: InstanceId) -> Result<Vec<String>, RuntimeError> {
         let cell = self.inner.instance(id)?;
         let names = lock(&cell).eligible_names();
         Ok(names)
     }
 
-    /// See [`Runtime::eligible_symbols`] — the allocation-free probe for
-    /// hot polling loops.
+    /// [`Runtime::eligible`] without the per-name allocations: interned
+    /// [`Symbol`]s in the same order — the probe for hot polling loops.
     pub fn eligible_symbols(&self, id: InstanceId) -> Result<Vec<Symbol>, RuntimeError> {
         let cell = self.inner.instance(id)?;
         let events = lock(&cell).eligible_symbols();
         Ok(events)
     }
 
-    /// See [`Runtime::journal`].
+    /// The journal of fired events.
     pub fn journal(&self, id: InstanceId) -> Result<Vec<String>, RuntimeError> {
         let cell = self.inner.instance(id)?;
         let journal = lock(&cell).journal_names();
         Ok(journal)
     }
 
-    /// See [`Runtime::status`].
+    /// Instance status.
     pub fn status(&self, id: InstanceId) -> Result<InstanceStatus, RuntimeError> {
         let cell = self.inner.instance(id)?;
         let status = lock(&cell).status;
         Ok(status)
     }
 
-    /// See [`Runtime::is_complete`].
+    /// Completion check.
     pub fn is_complete(&self, id: InstanceId) -> Result<bool, RuntimeError> {
         Ok(self.status(id)? == InstanceStatus::Completed)
     }
 
-    /// See [`Runtime::try_complete`].
+    /// Tries to finish an instance through silent steps only (committing
+    /// `∨`-branches made of bookkeeping, e.g. an optional tail that was
+    /// compiled away). Returns the resulting status.
     pub fn try_complete(&self, id: InstanceId) -> Result<InstanceStatus, RuntimeError> {
         let cell = self.inner.instance(id)?;
         let mut inst = lock(&cell);
@@ -888,10 +1029,26 @@ impl SharedRuntime {
         status
     }
 
-    /// See [`Runtime::enact`]. The deployment `Arc` is resolved under a
-    /// brief registry read lock; the enactment itself — which may run for
-    /// as long as the slowest handler chain — holds **no** runtime locks,
-    /// so concurrent deploys, fires, and snapshots proceed untouched.
+    /// Enacts a deployed workflow with the given [`crate::Enactor`]:
+    /// dispatches activity handlers under the compiled schedule and
+    /// returns the full [`crate::EnactReport`] — committed trace,
+    /// per-attempt outcomes and latencies, and (on abort) the typed error
+    /// plus compensation plan.
+    ///
+    /// Enactment is **deployment-level**: it runs against the
+    /// deployment's compiled program and does *not* create a journaled
+    /// instance. An enactor may legitimately commit *silent* `∨`-branches
+    /// (policy picks), and a silent commit is not an event — replaying
+    /// the observable trace through `fire_event` on a fresh cursor could
+    /// not reproduce it, which would break the journal-replay invariant
+    /// every instance relies on. Callers that want a journaled record can
+    /// [`Runtime::start`] an instance and [`Runtime::fire_batch`] the
+    /// report's `completed` events, which the runtime then re-validates.
+    ///
+    /// The deployment `Arc` is resolved under a brief registry read
+    /// lock; the enactment itself — which may run for as long as the
+    /// slowest handler chain — holds **no** runtime locks, so concurrent
+    /// deploys, fires, and snapshots proceed untouched.
     pub fn enact(
         &self,
         workflow: &str,
@@ -901,8 +1058,14 @@ impl SharedRuntime {
         Ok(enactor.run_report(&deployment.program))
     }
 
-    /// See [`Runtime::invalidate`] — rebuilds one instance's cursor by
-    /// replay, under that instance's lock.
+    /// Discards the cached cursor of `id` and rebuilds it by replaying
+    /// the journal from scratch, under that instance's lock — the
+    /// crash-recovery code path, exposed so it can be exercised (and its
+    /// equivalence with the incremental cursor asserted) directly. A
+    /// journal the *current* deployment cannot replay (e.g. the name was
+    /// re-deployed with an incompatible body) is a typed
+    /// [`RuntimeError::Journal`] error and leaves the instance's cursor
+    /// untouched.
     ///
     /// The registry lookup happens *between* two instance-lock critical
     /// sections, never while the instance lock is held — taking the
@@ -921,13 +1084,17 @@ impl SharedRuntime {
         Ok(())
     }
 
-    /// See [`Runtime::replayed_steps`].
+    /// Total journal events re-fired to (re)materialize cursors. Zero in
+    /// steady state — `eligible`/`fire`/`try_complete` use the cached
+    /// incremental cursor; only recovery ([`Runtime::restore`],
+    /// [`Runtime::open`]) and [`Runtime::invalidate`] replay.
     pub fn replayed_steps(&self) -> u64 {
         self.inner.replayed.load(Ordering::Relaxed)
     }
 
-    /// A consistent point-in-time snapshot, byte-identical to
-    /// [`Runtime::snapshot`] on the same state.
+    /// Serializes the whole runtime — deployments as compiled goals in
+    /// the concrete syntax, instances as journals plus pending timers —
+    /// into a line-based textual snapshot.
     ///
     /// Takes the registry read lock, then every shard lock in ascending
     /// index order, then every instance lock — the fleet is frozen while
@@ -939,7 +1106,7 @@ impl SharedRuntime {
     }
 
     /// Compacts the attached store behind a consistent cut: freezes the
-    /// fleet exactly like [`SharedRuntime::snapshot`], and hands the
+    /// fleet exactly like [`Runtime::snapshot`], and hands the
     /// snapshot to [`ctr_store::Store::checkpoint`] **while the freeze
     /// is still held** — so no fire can slip between the snapshot and
     /// the log truncation and be lost to both. Errors if no store is
@@ -955,17 +1122,19 @@ impl SharedRuntime {
         })
     }
 
-    /// The attached store, if any (crate-internal: `stats.rs` surfaces
-    /// its counters as [`crate::StoreStats`]).
-    pub(crate) fn store(&self) -> Option<&Arc<dyn Store>> {
-        self.inner.store.as_ref()
+    /// Traffic counters of the attached store ([`StoreStats`]) —
+    /// appends, journal events per append, commit fsyncs, group-size and
+    /// fsync-latency histograms, compactions, and recovered/torn byte
+    /// counts — or `None` when the runtime is purely in-memory.
+    pub fn store_stats(&self) -> Option<StoreStats> {
+        self.inner.store.as_ref().map(|s| s.stats())
     }
 
     /// Freezes the fleet (registry read lock, every shard lock in
     /// ascending index order, then every instance lock), renders the
     /// snapshot text, and runs `consume` on it *before* releasing
-    /// anything — the shared underpinning of [`SharedRuntime::snapshot`]
-    /// and [`SharedRuntime::checkpoint`].
+    /// anything — the shared underpinning of [`Runtime::snapshot`]
+    /// and [`Runtime::checkpoint`].
     fn frozen_snapshot<R>(&self, consume: impl FnOnce(String) -> R) -> R {
         let registry = self
             .inner
@@ -985,98 +1154,13 @@ impl SharedRuntime {
             }
         }
         // Ids interleave across shards (round-robin); the output orders
-        // them globally, exactly like the BTreeMap iteration in
-        // `Runtime::snapshot`.
+        // them globally.
         instance_guards.sort_unstable_by_key(|(id, _)| *id);
 
-        let mut out = String::new();
-        render_snapshot(
+        consume(render_snapshot(
             registry.iter().map(|(n, d)| (n, &**d)),
             instance_guards.iter().map(|(id, guard)| (*id, &**guard)),
-            &mut out,
-        );
-        consume(out)
-    }
-}
-
-/// The retired coarse-lock handle: one `Mutex` around the whole
-/// [`Runtime`], so every client serializes even across independent
-/// instances.
-///
-/// Kept as the measured baseline for the `fleet_mt/*` records in
-/// `BENCH_exec.json` — the sharded [`SharedRuntime`] must beat this on
-/// multi-threaded fleets, and the margin is pinned there per commit. Not
-/// deprecated for single-client embedding, but services should use
-/// [`SharedRuntime`].
-#[derive(Clone, Default)]
-pub struct CoarseRuntime {
-    inner: Arc<Mutex<Runtime>>,
-}
-
-impl CoarseRuntime {
-    /// Wraps an empty runtime.
-    pub fn new() -> CoarseRuntime {
-        CoarseRuntime::default()
-    }
-
-    /// Wraps an existing runtime.
-    pub fn from_runtime(rt: Runtime) -> CoarseRuntime {
-        CoarseRuntime {
-            inner: Arc::new(Mutex::new(rt)),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Runtime> {
-        lock(&self.inner)
-    }
-
-    /// See [`Runtime::deploy_source`].
-    pub fn deploy_source(&self, source: &str) -> Result<String, RuntimeError> {
-        self.lock().deploy_source(source)
-    }
-
-    /// See [`Runtime::deploy_compiled`].
-    pub fn deploy_compiled(
-        &self,
-        name: &str,
-        compiled: ctr::goal::Goal,
-    ) -> Result<(), RuntimeError> {
-        self.lock().deploy_compiled(name, compiled)
-    }
-
-    /// See [`Runtime::start`].
-    pub fn start(&self, workflow: &str) -> Result<InstanceId, RuntimeError> {
-        self.lock().start(workflow)
-    }
-
-    /// See [`Runtime::fire`] — atomic with respect to other clients.
-    pub fn fire(&self, id: InstanceId, event: &str) -> Result<InstanceStatus, RuntimeError> {
-        self.lock().fire(id, event)
-    }
-
-    /// See [`Runtime::eligible`].
-    pub fn eligible(&self, id: InstanceId) -> Result<Vec<String>, RuntimeError> {
-        self.lock().eligible(id)
-    }
-
-    /// See [`Runtime::journal`].
-    pub fn journal(&self, id: InstanceId) -> Result<Vec<String>, RuntimeError> {
-        self.lock().journal(id)
-    }
-
-    /// See [`Runtime::status`].
-    pub fn status(&self, id: InstanceId) -> Result<InstanceStatus, RuntimeError> {
-        self.lock().status(id)
-    }
-
-    /// See [`Runtime::try_complete`].
-    pub fn try_complete(&self, id: InstanceId) -> Result<InstanceStatus, RuntimeError> {
-        self.lock().try_complete(id)
-    }
-
-    /// See [`Runtime::snapshot`].
-    pub fn snapshot(&self) -> String {
-        self.lock().snapshot()
+        ))
     }
 }
 
@@ -1086,8 +1170,8 @@ mod tests {
 
     const PAY: &str = "workflow pay { graph invoice * (approve + reject) * file; }";
 
-    fn shared_pay() -> SharedRuntime {
-        let rt = SharedRuntime::new();
+    fn shared_pay() -> Runtime {
+        let rt = Runtime::new();
         rt.deploy_source(PAY).unwrap();
         rt
     }
@@ -1095,8 +1179,7 @@ mod tests {
     #[test]
     fn handles_are_send_sync_and_cloneable() {
         fn assert_send_sync<T: Send + Sync + Clone>() {}
-        assert_send_sync::<SharedRuntime>();
-        assert_send_sync::<CoarseRuntime>();
+        assert_send_sync::<Runtime>();
     }
 
     #[test]
@@ -1172,6 +1255,14 @@ mod tests {
             assert_eq!(lock(&shard.instances).len(), 2);
         }
         assert_eq!(rt.instances(), ids);
+        // The snapshot orders instances by id across the shards.
+        let snapshot = rt.snapshot();
+        let listed: Vec<InstanceId> = snapshot
+            .lines()
+            .filter_map(|line| line.strip_prefix("instance "))
+            .map(|rest| rest.split(' ').next().unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(listed, ids);
     }
 
     #[test]
@@ -1221,27 +1312,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_format_is_byte_identical_to_runtime() {
-        // Build the same logical state through both front-ends; the
-        // snapshot text must match byte for byte.
-        let shared = shared_pay();
-        let mut plain = Runtime::new();
-        plain.deploy_source(PAY).unwrap();
-        for _ in 0..SHARD_COUNT + 3 {
-            let a = shared.start("pay").unwrap();
-            let b = plain.start("pay").unwrap();
-            assert_eq!(a, b);
-        }
-        for id in [0u64, 3, 7, 17] {
-            shared.fire(id, "invoice").unwrap();
-            plain.fire(id, "invoice").unwrap();
-        }
-        shared.fire(3, "approve").unwrap();
-        plain.fire(3, "approve").unwrap();
-        assert_eq!(shared.snapshot(), plain.snapshot());
-    }
-
-    #[test]
     fn snapshot_restore_round_trips_through_shards() {
         let rt = shared_pay();
         let i1 = rt.start("pay").unwrap();
@@ -1249,7 +1319,7 @@ mod tests {
         rt.fire(i1, "invoice").unwrap();
         rt.fire(i1, "approve").unwrap();
         rt.fire(i2, "invoice").unwrap();
-        let restored = SharedRuntime::restore(&rt.snapshot()).unwrap();
+        let restored = Runtime::restore(&rt.snapshot()).unwrap();
         assert_eq!(restored.journal(i1).unwrap(), vec!["invoice", "approve"]);
         assert_eq!(
             restored.eligible(i2).unwrap(),
@@ -1341,41 +1411,6 @@ mod tests {
     }
 
     #[test]
-    fn coarse_runtime_still_works() {
-        // The baseline keeps full semantics: races serialize globally.
-        let rt = CoarseRuntime::new();
-        rt.deploy_source(PAY).unwrap();
-        let id = rt.start("pay").unwrap();
-        rt.fire(id, "invoice").unwrap();
-        let (a, b) = (rt.clone(), rt.clone());
-        let ta = std::thread::spawn(move || a.fire(id, "approve").is_ok());
-        let tb = std::thread::spawn(move || b.fire(id, "reject").is_ok());
-        assert!(ta.join().unwrap() ^ tb.join().unwrap());
-        rt.fire(id, "file").unwrap();
-        assert_eq!(rt.status(id).unwrap(), InstanceStatus::Completed);
-        assert_eq!(
-            rt.snapshot(),
-            SharedRuntime::restore(&rt.snapshot()).unwrap().snapshot()
-        );
-    }
-
-    #[test]
-    fn shared_fire_batch_matches_runtime_fire_batch() {
-        let shared = shared_pay();
-        let mut plain = Runtime::new();
-        plain.deploy_source(PAY).unwrap();
-        let a = shared.start("pay").unwrap();
-        let b = plain.start("pay").unwrap();
-        assert_eq!(a, b);
-        let events = ["invoice", "reject", "reject", "file"];
-        assert_eq!(
-            shared.fire_batch(a, &events).unwrap(),
-            plain.fire_batch(b, &events).unwrap()
-        );
-        assert_eq!(shared.snapshot(), plain.snapshot());
-    }
-
-    #[test]
     fn fire_many_splices_outcomes_to_input_positions() {
         let rt = shared_pay();
         let i1 = rt.start("pay").unwrap();
@@ -1447,30 +1482,34 @@ mod tests {
 
     #[test]
     fn fire_many_singleton_batches_match_individual_fires() {
-        // Pairwise-distinct ids take the allocation-light fast path;
-        // outcomes (including unknown-instance and not-eligible
-        // rejections) must be exactly those of per-pair fires.
-        let fast = shared_pay();
-        let slow = shared_pay();
+        // Mostly pairwise-distinct ids — one-event runs — plus an
+        // unknown id: outcomes (including unknown-instance and
+        // not-eligible rejections) must be exactly those of per-pair
+        // fires.
+        let batched = shared_pay();
+        let sequential = shared_pay();
         let n = SHARD_COUNT as u64 + 5;
         for _ in 0..n {
-            assert_eq!(fast.start("pay").unwrap(), slow.start("pay").unwrap());
+            assert_eq!(
+                batched.start("pay").unwrap(),
+                sequential.start("pay").unwrap()
+            );
         }
         let ghost = 999u64;
         let mut batch: Vec<(InstanceId, &str)> = (0..n).map(|id| (id, "invoice")).collect();
         batch.push((ghost, "invoice"));
-        batch.push((n - 1, "file")); // duplicate id → general path
-        let outcomes = fast.fire_many(&batch);
+        batch.push((n - 1, "file")); // a second event for one instance
+        let outcomes = batched.fire_many(&batch);
         for (&(id, event), outcome) in batch.iter().zip(&outcomes) {
-            match slow.fire(id, event) {
+            match sequential.fire(id, event) {
                 Ok(status) => assert_eq!(*outcome, FireOutcome::Fired(status)),
                 Err(e) => assert_eq!(*outcome, FireOutcome::Rejected(e)),
             }
         }
-        assert_eq!(fast.snapshot(), slow.snapshot());
-        // And the genuinely-singleton version of the same batch.
+        assert_eq!(batched.snapshot(), sequential.snapshot());
+        // And the same batch with every id distinct.
         batch.pop();
-        let outcomes = fast.fire_many(&batch[..]);
+        let outcomes = batched.fire_many(&batch[..]);
         assert!(
             matches!(&outcomes[..n as usize], o if o.iter().all(|o| matches!(o, FireOutcome::Rejected(RuntimeError::NotEligible { .. })))),
             "second invoice is no longer eligible anywhere"
@@ -1531,7 +1570,7 @@ mod tests {
     fn fire_runs_appends_once_per_instance_per_burst() {
         use ctr_store::MemStore;
         let store = Arc::new(MemStore::new());
-        let rt = SharedRuntime::with_store(Arc::clone(&store) as Arc<dyn Store>);
+        let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn Store>);
         rt.deploy_source(PAY).unwrap();
         let a = rt.start("pay").unwrap();
         let b = rt.start("pay").unwrap();
@@ -1548,7 +1587,7 @@ mod tests {
         }
         assert_eq!(store.stats().appends - before, 2);
         // The grouped appends replay to the same fleet.
-        let recovered = SharedRuntime::open(store).unwrap();
+        let recovered = Runtime::open(store).unwrap();
         assert_eq!(recovered.snapshot(), rt.snapshot());
     }
 
@@ -1585,7 +1624,7 @@ mod tests {
             inner: ctr_store::MemStore::new(),
             fail: std::sync::atomic::AtomicBool::new(false),
         });
-        let rt = SharedRuntime::with_store(Arc::clone(&store) as Arc<dyn Store>);
+        let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn Store>);
         rt.deploy_source(PAY).unwrap();
         let id = rt.start("pay").unwrap();
         rt.fire(id, "invoice").unwrap();
@@ -1616,7 +1655,7 @@ mod tests {
         let store = Arc::new(MemStore::new());
         let snap_before;
         {
-            let rt = SharedRuntime::with_store(Arc::clone(&store) as Arc<dyn Store>);
+            let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn Store>);
             rt.deploy_source(PAY).unwrap();
             // Span several shards.
             let ids: Vec<_> = (0..SHARD_COUNT as u64 + 3)
@@ -1629,7 +1668,7 @@ mod tests {
             rt.fire(3, "approve").unwrap();
             snap_before = rt.snapshot();
         }
-        let rt = SharedRuntime::open(store).unwrap();
+        let rt = Runtime::open(store).unwrap();
         assert_eq!(rt.snapshot(), snap_before);
         assert_eq!(rt.journal(3).unwrap(), vec!["invoice", "approve"]);
         let stats = rt.store_stats().expect("store stays attached");
@@ -1640,7 +1679,7 @@ mod tests {
     fn shared_checkpoint_compacts_under_the_freeze() {
         use ctr_store::{MemStore, Store as _};
         let store = Arc::new(MemStore::new());
-        let rt = SharedRuntime::with_store(Arc::clone(&store) as Arc<dyn Store>);
+        let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn Store>);
         rt.deploy_source(PAY).unwrap();
         let id = rt.start("pay").unwrap();
         rt.fire(id, "invoice").unwrap();
@@ -1661,7 +1700,7 @@ mod tests {
         }
         writer.join().unwrap();
         rt.checkpoint().unwrap();
-        let recovered = SharedRuntime::open(store).unwrap();
+        let recovered = Runtime::open(store).unwrap();
         assert_eq!(recovered.snapshot(), rt.snapshot());
         assert!(recovered.is_complete(id).unwrap());
     }
@@ -1678,7 +1717,7 @@ mod tests {
         // Hammer starts, fires, redeploys, and checkpoints concurrently;
         // recovery reproducing the exact fleet is the assertion.
         let store = Arc::new(MemStore::new());
-        let rt = SharedRuntime::with_store(Arc::clone(&store) as Arc<dyn Store>);
+        let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn Store>);
         rt.deploy_source(PAY).unwrap();
         std::thread::scope(|scope| {
             for _ in 0..4 {
@@ -1703,7 +1742,7 @@ mod tests {
                 }
             });
         });
-        let recovered = SharedRuntime::open(store).unwrap();
+        let recovered = Runtime::open(store).unwrap();
         assert_eq!(recovered.snapshot(), rt.snapshot());
         assert_eq!(recovered.instances().len(), 200);
     }
@@ -1711,62 +1750,88 @@ mod tests {
     const TIMED: &str = "workflow timed { graph invoice * approve * file; after(approve, 30s); }";
     const GUARDED: &str = "workflow guarded { graph invoice * approve; deadline(approve, 1h); }";
 
-    #[test]
-    fn shared_timers_match_the_single_runtime() {
-        let shared = SharedRuntime::new();
-        let mut plain = Runtime::new();
-        for src in [TIMED, GUARDED] {
-            shared.deploy_source(src).unwrap();
-            plain.deploy_source(src).unwrap();
+    /// A store that fails the `k`-th `TimerFire` append (1-based) once.
+    struct FailKthTimerFire {
+        inner: ctr_store::MemStore,
+        k: usize,
+        seen: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Store for FailKthTimerFire {
+        fn append(&self, record: &Record) -> Result<(), ctr_store::StoreError> {
+            if matches!(record, Record::TimerFire { .. })
+                && self.seen.fetch_add(1, Ordering::Relaxed) + 1 == self.k
+            {
+                return Err(ctr_store::StoreError::Io(
+                    "injected TimerFire failure".to_owned(),
+                ));
+            }
+            self.inner.append(record)
         }
-        let t = shared.start("timed").unwrap();
-        assert_eq!(t, plain.start("timed").unwrap());
-        let g = shared.start("guarded").unwrap();
-        assert_eq!(g, plain.start("guarded").unwrap());
-        assert_eq!(shared.pending_timer_count(), plain.pending_timer_count());
-        assert_eq!(shared.next_timer_due(), plain.next_timer_due());
-        shared.fire(t, "invoice").unwrap();
-        plain.fire(t, "invoice").unwrap();
-        assert_eq!(shared.snapshot(), plain.snapshot());
-        assert_eq!(
-            shared.advance(30_000).unwrap(),
-            plain.advance(30_000).unwrap()
-        );
-        assert_eq!(shared.clock_ms(), 30_000);
-        assert_eq!(shared.pending_timers(t).unwrap(), Vec::new());
-        assert_eq!(
-            shared.pending_timers(g).unwrap(),
-            plain.pending_timers(g).unwrap()
-        );
-        // The guarded deadline is satisfied by its base event on both.
-        shared.fire(g, "invoice").unwrap();
-        plain.fire(g, "invoice").unwrap();
-        shared.fire(g, "approve").unwrap();
-        plain.fire(g, "approve").unwrap();
-        assert!(shared.pending_timers(g).unwrap().is_empty());
-        assert_eq!(shared.snapshot(), plain.snapshot());
+        fn replay(&self) -> Result<ctr_store::Replay, ctr_store::StoreError> {
+            self.inner.replay()
+        }
+        fn checkpoint(&self, snapshot: &str) -> Result<(), ctr_store::StoreError> {
+            self.inner.checkpoint(snapshot)
+        }
+        fn stats(&self) -> StoreStats {
+            self.inner.stats()
+        }
     }
 
     #[test]
-    fn shared_cancel_timer_disarms_and_rejects_unknowns() {
-        let rt = SharedRuntime::new();
-        rt.deploy_source(TIMED).unwrap();
-        let id = rt.start("timed").unwrap();
-        assert_eq!(
-            rt.cancel_timer(id, "nope"),
-            Err(RuntimeError::UnknownTimer {
-                instance: id,
-                event: "nope".to_owned()
-            })
-        );
-        rt.cancel_timer(id, "approve@after30000").unwrap();
-        assert_eq!(rt.pending_timer_count(), 0);
-        assert!(rt.advance(100_000).unwrap().is_empty());
+    fn retried_advance_fires_the_rearmed_expiries_exactly_once() {
+        let tick = "approve@after30000";
+        for k in 1..=4 {
+            let store = Arc::new(FailKthTimerFire {
+                inner: ctr_store::MemStore::new(),
+                k,
+                seen: std::sync::atomic::AtomicUsize::new(0),
+            });
+            let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn Store>);
+            rt.deploy_source(TIMED).unwrap();
+            let ids: Vec<_> = (0..4).map(|_| rt.start("timed").unwrap()).collect();
+            for &id in &ids {
+                rt.fire(id, "invoice").unwrap();
+            }
+            assert!(matches!(rt.advance(30_000), Err(RuntimeError::Store(_))));
+            assert_eq!(rt.clock_ms(), 30_000);
+            // Expiry runs in id order: the k-th failed, and it stays
+            // pending together with the popped tail behind it.
+            let pending: Vec<_> = ids
+                .iter()
+                .copied()
+                .filter(|&id| !rt.pending_timers(id).unwrap().is_empty())
+                .collect();
+            assert_eq!(pending, ids[k - 1..], "k = {k}");
+            for &id in &pending {
+                assert_eq!(
+                    rt.pending_timers(id).unwrap(),
+                    vec![(tick.to_owned(), 30_000)]
+                );
+            }
+            // A retry with the same target fires each of them once.
+            let fired = rt.advance(30_000).unwrap();
+            let expected: Vec<_> = pending.iter().map(|&id| (id, tick.to_owned())).collect();
+            assert_eq!(fired, expected, "k = {k}");
+            assert_eq!(rt.pending_timer_count(), 0);
+            assert!(rt.advance(30_000).unwrap().is_empty());
+            // The store holds exactly one TimerFire per tick.
+            let records = store.inner.replay().unwrap().records;
+            for &id in &ids {
+                let fires = records
+                    .iter()
+                    .filter(|r| matches!(r, Record::TimerFire { instance, .. } if *instance == id))
+                    .count();
+                assert_eq!(fires, 1, "k = {k}, instance {id}");
+                assert_eq!(rt.journal(id).unwrap(), vec!["invoice", tick]);
+            }
+        }
     }
 
     #[test]
     fn concurrent_advances_fire_each_timer_exactly_once() {
-        let rt = SharedRuntime::new();
+        let rt = Runtime::new();
         rt.deploy_source(TIMED).unwrap();
         let n = 64u64;
         let ids: Vec<_> = (0..n).map(|_| rt.start("timed").unwrap()).collect();
@@ -1803,7 +1868,7 @@ mod tests {
         let store = Arc::new(MemStore::new());
         let snap_before;
         {
-            let rt = SharedRuntime::with_store(Arc::clone(&store) as Arc<dyn Store>);
+            let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn Store>);
             rt.deploy_source(TIMED).unwrap();
             let id = rt.start("timed").unwrap();
             rt.fire(id, "invoice").unwrap();
@@ -1820,7 +1885,7 @@ mod tests {
             .position(|r| matches!(r, ctr_store::Record::Start { .. }))
             .expect("start record present");
         assert!(arm < start, "arm-before-visible: {records:?}");
-        let rt = SharedRuntime::open(store).unwrap();
+        let rt = Runtime::open(store).unwrap();
         assert_eq!(rt.snapshot(), snap_before);
         assert_eq!(
             rt.pending_timers(0).unwrap(),
@@ -1835,7 +1900,7 @@ mod tests {
     fn shared_timer_fires_are_durable_and_survive_checkpoint() {
         use ctr_store::MemStore;
         let store = Arc::new(MemStore::new());
-        let rt = SharedRuntime::with_store(Arc::clone(&store) as Arc<dyn Store>);
+        let rt = Runtime::with_store(Arc::clone(&store) as Arc<dyn Store>);
         rt.deploy_source(TIMED).unwrap();
         rt.deploy_source(GUARDED).unwrap();
         let t = rt.start("timed").unwrap();
@@ -1846,23 +1911,12 @@ mod tests {
         rt.fire(g, "invoice").unwrap();
         let snap = rt.snapshot();
         drop(rt);
-        let rt = SharedRuntime::open(store).unwrap();
+        let rt = Runtime::open(store).unwrap();
         assert_eq!(rt.snapshot(), snap);
         assert_eq!(rt.clock_ms(), 0, "clock is not part of the snapshot");
         // The surviving deadline still expires (files past-due on the
         // recovered wheel) and fires as a compensationable event.
         let fired = rt.advance(3_600_000).unwrap();
         assert_eq!(fired, vec![(g, "approve@deadline3600000".to_owned())]);
-    }
-
-    #[test]
-    fn unknown_ids_and_names_error() {
-        let rt = SharedRuntime::new();
-        assert_eq!(
-            rt.start("ghost"),
-            Err(RuntimeError::UnknownWorkflow("ghost".to_owned()))
-        );
-        assert_eq!(rt.eligible(42), Err(RuntimeError::UnknownInstance(42)));
-        assert_eq!(rt.fire(42, "x"), Err(RuntimeError::UnknownInstance(42)));
     }
 }

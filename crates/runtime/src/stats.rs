@@ -1,5 +1,5 @@
 //! Monte-Carlo simulation over the allowed schedules of a deployed
-//! workflow, plus the runtime's observability counters.
+//! workflow.
 //!
 //! The compiled goal is a "compressed explicit representation of all
 //! allowed executions" (paper, §4); sampling it with the randomized
@@ -7,36 +7,11 @@
 //! the whole (possibly exponential) execution space: how often does each
 //! activity run, how long are the paths, which activities always/never
 //! co-occur in practice.
-//!
-//! The **store counters** also surface here: [`Runtime::store_stats`] /
-//! [`SharedRuntime::store_stats`] expose the attached backend's
-//! [`StoreStats`] — appends, journal events per append (group sizes),
-//! commit fsyncs (with rotation and checkpoint syncs attributed
-//! separately), group-size and fsync-latency histograms, compactions,
-//! and recovered/torn byte counts — which is how the `durability/*`
-//! benches and the CLI `recover` verb report what the log actually did.
 
-use crate::{Runtime, SharedRuntime};
 use ctr::apply::Parallelism;
 use ctr::symbol::Symbol;
 use ctr_engine::scheduler::{Program, Scheduler};
-use ctr_store::StoreStats;
 use std::collections::{BTreeMap, BTreeSet};
-
-impl Runtime {
-    /// Traffic counters of the attached store ([`StoreStats`]), or
-    /// `None` when the runtime is purely in-memory.
-    pub fn store_stats(&self) -> Option<StoreStats> {
-        self.store.as_ref().map(|s| s.stats())
-    }
-}
-
-impl SharedRuntime {
-    /// See [`Runtime::store_stats`].
-    pub fn store_stats(&self) -> Option<StoreStats> {
-        self.store().map(|s| s.stats())
-    }
-}
 
 /// Aggregate statistics over sampled schedules.
 #[derive(Clone, Debug, PartialEq, Eq)]

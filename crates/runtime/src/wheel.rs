@@ -233,11 +233,18 @@ impl<T> TimerWheel<T> {
     /// Advances the clock to `to`, draining every boundary crossed:
     /// entries within reach fire, coarser slots cascade downward.
     /// Returns the fired `(due, payload)` pairs in `(due, arm order)`
-    /// order. Cost is proportional to occupied slots crossed plus
-    /// entries moved — an empty wheel advances any distance in
-    /// O(levels).
+    /// order — every pending entry due at or before `to`, including
+    /// entries armed already due at a clock that is at or past `to`.
+    /// Cost is proportional to occupied slots crossed plus entries
+    /// moved — an empty wheel advances any distance in O(levels).
     pub fn advance_to(&mut self, to: u64) -> Vec<(u64, T)> {
         let mut fired: Vec<(u64, u64, T)> = Vec::new();
+        if to <= self.now {
+            // No boundary to cross, but entries armed already due wait
+            // in the level-0 slot at `now + 1` (see `file`).
+            let slot = ((self.now + 1) & SLOT_MASK) as usize;
+            self.drain(0, slot, to, &mut fired);
+        }
         while self.now < to {
             let Some(boundary) = self.next_boundary(to) else {
                 self.now = to;
@@ -253,26 +260,7 @@ impl<T> TimerWheel<T> {
                     continue; // not a boundary of this level
                 }
                 let slot = ((self.now >> shift) & SLOT_MASK) as usize;
-                if self.occupancy[level] & (1 << slot) == 0 {
-                    continue;
-                }
-                let drained = std::mem::take(&mut self.slots[level][slot]);
-                self.occupancy[level] &= !(1 << slot);
-                for (index, generation) in drained {
-                    let e = &mut self.entries[index as usize];
-                    if e.generation != generation {
-                        continue; // lazily cancelled (or index reused)
-                    }
-                    if e.due <= self.now {
-                        let data = e.data.take().expect("live entry has data");
-                        e.generation = e.generation.wrapping_add(1);
-                        self.pending -= 1;
-                        self.free.push(index);
-                        fired.push((e.due, e.seq, data));
-                    } else {
-                        self.file(index); // cascade downward
-                    }
-                }
+                self.drain(level, slot, self.now, &mut fired);
             }
         }
         fired.sort_by_key(|a| (a.0, a.1));
@@ -280,6 +268,32 @@ impl<T> TimerWheel<T> {
             .into_iter()
             .map(|(due, _, data)| (due, data))
             .collect()
+    }
+
+    /// Empties one slot: live entries due at or before `limit` fire into
+    /// `fired` as `(due, seq, payload)`, the rest re-file (cascading
+    /// downward when the clock has moved into their slot).
+    fn drain(&mut self, level: usize, slot: usize, limit: u64, fired: &mut Vec<(u64, u64, T)>) {
+        if self.occupancy[level] & (1 << slot) == 0 {
+            return;
+        }
+        let drained = std::mem::take(&mut self.slots[level][slot]);
+        self.occupancy[level] &= !(1 << slot);
+        for (index, generation) in drained {
+            let e = &mut self.entries[index as usize];
+            if e.generation != generation {
+                continue; // lazily cancelled (or index reused)
+            }
+            if e.due <= limit {
+                let data = e.data.take().expect("live entry has data");
+                e.generation = e.generation.wrapping_add(1);
+                self.pending -= 1;
+                self.free.push(index);
+                fired.push((e.due, e.seq, data));
+            } else {
+                self.file(index);
+            }
+        }
     }
 
     /// The earliest slot boundary in `(now, to]` that could hold work,
@@ -367,6 +381,26 @@ mod tests {
         w.arm(5, "ancient");
         w.arm(1_000, "now");
         assert_eq!(w.advance_to(1_001), vec![(5, "ancient"), (1_000, "now")]);
+    }
+
+    #[test]
+    fn past_due_arms_fire_without_moving_the_clock() {
+        let mut w = TimerWheel::new();
+        w.advance_to(30_000);
+        // Re-armed already due (an expiry whose commit failed), next to
+        // an entry due one tick later.
+        w.arm(30_000, "retry");
+        w.arm(29_000, "older");
+        w.arm(30_001, "next");
+        assert_eq!(
+            w.advance_to(30_000),
+            vec![(29_000, "older"), (30_000, "retry")],
+            "a target equal to the clock still fires what is due"
+        );
+        assert_eq!(w.now(), 30_000);
+        assert!(w.advance_to(29_999).is_empty(), "nothing due by then");
+        assert_eq!(w.advance_to(30_001), vec![(30_001, "next")]);
+        assert!(w.is_empty());
     }
 
     #[test]

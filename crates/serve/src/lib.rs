@@ -3,13 +3,13 @@
 //! The paper's enactment story assumes a workflow *server*: external
 //! agents report events as they happen, and the runtime accepts or
 //! rejects them against the compiled control state. This crate is that
-//! front-end over [`ctr_runtime::SharedRuntime`]:
+//! front-end over [`ctr_runtime::Runtime`]:
 //!
 //! * [`protocol`] — the length-prefixed, CRC-checked binary wire
 //!   format (see `DESIGN.md` §16 for the spec);
 //! * [`server`] — a thread-per-connection TCP server whose read loop
 //!   coalesces pipelined `fire`/`fire_batch` requests into
-//!   `SharedRuntime::fire_runs` bursts: one instance-lock acquisition
+//!   `Runtime::fire_runs` bursts: one instance-lock acquisition
 //!   and one WAL group commit per instance per network read burst;
 //! * [`client`] — a blocking client with explicit pipelining;
 //! * [`loadgen`] — the load harness behind `ctr load` and the

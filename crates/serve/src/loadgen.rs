@@ -27,7 +27,7 @@
 use crate::client::{Client, ClientError};
 use crate::protocol::{self, Request, Response};
 use crate::server::{ServeOptions, Server};
-use ctr_runtime::SharedRuntime;
+use ctr_runtime::Runtime;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::mpsc;
@@ -387,7 +387,7 @@ pub fn drive(addr: &str, opts: &LoadOptions) -> Result<LoadReport, ClientError> 
 
 /// Spins up an in-process server over real loopback TCP.
 fn spawn_server(
-    runtime: SharedRuntime,
+    runtime: Runtime,
 ) -> (
     std::net::SocketAddr,
     crate::server::ServerHandle,
@@ -402,10 +402,10 @@ fn spawn_server(
 }
 
 /// One durability configuration of the scaling table.
-fn bench_runtime(durability: &str) -> (SharedRuntime, Option<std::path::PathBuf>) {
+fn bench_runtime(durability: &str) -> (Runtime, Option<std::path::PathBuf>) {
     match durability {
         "mem" => (
-            SharedRuntime::with_store(std::sync::Arc::new(ctr_store::MemStore::new())),
+            Runtime::with_store(std::sync::Arc::new(ctr_store::MemStore::new())),
             None,
         ),
         "wal_coalesced" => {
@@ -425,10 +425,7 @@ fn bench_runtime(durability: &str) -> (SharedRuntime, Option<std::path::PathBuf>
                 },
             )
             .expect("open WAL store in temp dir");
-            (
-                SharedRuntime::with_store(std::sync::Arc::new(store)),
-                Some(dir),
-            )
+            (Runtime::with_store(std::sync::Arc::new(store)), Some(dir))
         }
         other => unreachable!("unknown durability {other}"),
     }

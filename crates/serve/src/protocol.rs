@@ -202,7 +202,7 @@ const VERB_CANCEL_TIMER: u8 = 0x0C;
 
 /// One client request. The `Fire`/`FireBatch` verbs are the hot path:
 /// the server coalesces adjacent pipelined ones into a single
-/// `SharedRuntime::fire_runs` burst (see `server.rs`); everything else
+/// `Runtime::fire_runs` burst (see `server.rs`); everything else
 /// is a barrier executed in order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request {

@@ -1,4 +1,4 @@
-//! Thread-per-connection TCP server over one [`SharedRuntime`].
+//! Thread-per-connection TCP server over one [`Runtime`].
 //!
 //! ## Burst batching — the perf core
 //!
@@ -9,7 +9,7 @@
 //! and executes the whole **burst** before writing any response:
 //!
 //! * maximal runs of adjacent `fire` / `fire_batch` requests are
-//!   submitted as **one** [`SharedRuntime::fire_runs`] burst — one
+//!   submitted as **one** [`Runtime::fire_runs`] burst — one
 //!   shard-lock resolution, one instance-lock acquisition per
 //!   referenced instance, and one WAL append (one group commit) per
 //!   instance per burst, instead of one of each per request;
@@ -52,7 +52,7 @@
 //! deadlock against this or any other connection's burst.
 
 use crate::protocol::{self, Fault, FaultCode, Request, Response, WireOutcome, WireStats};
-use ctr_runtime::{FireOutcome, SharedRuntime};
+use ctr_runtime::{FireOutcome, Runtime};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -127,7 +127,7 @@ impl ServerHandle {
 /// The TCP front-end: `bind`, then `run` (which blocks until the wire
 /// `shutdown` verb or a [`ServerHandle::shutdown`]).
 pub struct Server {
-    runtime: SharedRuntime,
+    runtime: Runtime,
     listener: TcpListener,
     inner: Arc<Inner>,
 }
@@ -135,7 +135,7 @@ pub struct Server {
 impl Server {
     /// Binds to `addr` (use port 0 for an ephemeral port; read it back
     /// with [`Server::local_addr`]).
-    pub fn bind(runtime: SharedRuntime, addr: &str, opts: ServeOptions) -> io::Result<Server> {
+    pub fn bind(runtime: Runtime, addr: &str, opts: ServeOptions) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         Ok(Server {
@@ -198,7 +198,7 @@ impl Server {
 
 /// Drives one connection; returns on client close, protocol fault,
 /// I/O error, or shutdown.
-fn serve_connection(rt: &SharedRuntime, mut stream: TcpStream, inner: &Inner) -> io::Result<()> {
+fn serve_connection(rt: &Runtime, mut stream: TcpStream, inner: &Inner) -> io::Result<()> {
     // Responses are written in one buffered burst; Nagle would only
     // add latency on top of that.
     let _ = stream.set_nodelay(true);
@@ -302,7 +302,7 @@ fn serve_connection(rt: &SharedRuntime, mut stream: TcpStream, inner: &Inner) ->
 /// Maximal runs of `Fire`/`FireBatch` become one `fire_runs` call;
 /// requests beyond `budget` are answered `Busy` unexecuted.
 fn execute_burst(
-    rt: &SharedRuntime,
+    rt: &Runtime,
     requests: &[Request],
     budget: usize,
     mut emit: impl FnMut(&Response),
@@ -365,7 +365,7 @@ fn execute_burst(
 }
 
 /// Executes one barrier request.
-fn execute_one(rt: &SharedRuntime, req: &Request, shutdown: &mut bool) -> Response {
+fn execute_one(rt: &Runtime, req: &Request, shutdown: &mut bool) -> Response {
     match req {
         Request::Deploy { source } => match rt.deploy_source(source) {
             Ok(name) => Response::Name(name),
@@ -429,7 +429,7 @@ mod tests {
 
     const PAY: &str = "workflow pay { graph invoice * (approve + reject) * file; }";
 
-    fn collect_burst(rt: &SharedRuntime, requests: &[Request], budget: usize) -> Vec<Response> {
+    fn collect_burst(rt: &Runtime, requests: &[Request], budget: usize) -> Vec<Response> {
         let mut out = Vec::new();
         execute_burst(rt, requests, budget, |resp| out.push(resp.clone()));
         out
@@ -437,7 +437,7 @@ mod tests {
 
     #[test]
     fn bursts_answer_every_request_in_order() {
-        let rt = SharedRuntime::new();
+        let rt = Runtime::new();
         rt.deploy_source(PAY).unwrap();
         let id = rt.start("pay").unwrap();
         let requests = vec![
@@ -479,7 +479,7 @@ mod tests {
     fn timer_verbs_list_advance_and_cancel() {
         const TIMED: &str =
             "workflow timed { graph invoice * approve * file; after(approve, 30s); }";
-        let rt = SharedRuntime::new();
+        let rt = Runtime::new();
         rt.deploy_source(TIMED).unwrap();
         let id = rt.start("timed").unwrap();
         let requests = vec![
@@ -523,7 +523,7 @@ mod tests {
 
     #[test]
     fn requests_beyond_the_burst_budget_are_busy_not_executed() {
-        let rt = SharedRuntime::new();
+        let rt = Runtime::new();
         rt.deploy_source(PAY).unwrap();
         let id = rt.start("pay").unwrap();
         let requests = vec![
@@ -561,7 +561,7 @@ mod tests {
 
     #[test]
     fn shutdown_mid_burst_still_answers_the_rest() {
-        let rt = SharedRuntime::new();
+        let rt = Runtime::new();
         rt.deploy_source(PAY).unwrap();
         let id = rt.start("pay").unwrap();
         let requests = vec![

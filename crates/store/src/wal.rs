@@ -311,7 +311,10 @@ impl WalStore {
                     .name("ctr-wal-syncer".to_owned())
                     .spawn(move || {
                         let mut stop = lock(&inner.stop);
-                        loop {
+                        // Checked before waiting too: a stop raised before
+                        // this thread first took the lock notified nobody,
+                        // and would otherwise hold `drop` for an interval.
+                        while !*stop {
                             stop = wait_timeout(&inner.stop_cv, stop, interval);
                             if *stop {
                                 return;

@@ -8,7 +8,7 @@
 use ctr_workflows::prelude::*;
 
 fn main() {
-    let mut rt = Runtime::new();
+    let rt = Runtime::new();
 
     // Deploy two workflows. Compilation — including constraint folding
     // and knot excision — happens once, here; inconsistent specifications
@@ -58,7 +58,7 @@ fn main() {
     println!("\nsnapshot ({} bytes):\n{snapshot}", snapshot.len());
     drop(rt);
 
-    let mut rt = Runtime::restore(&snapshot).expect("journals replay cleanly");
+    let rt = Runtime::restore(&snapshot).expect("journals replay cleanly");
     println!("restored; expense journal: {:?}", rt.journal(exp).unwrap());
     assert_eq!(rt.eligible(exp).unwrap(), vec!["payout".to_owned()]);
 

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 /// A small but representative runtime snapshot to corrupt: two
 /// workflows, a running instance and a completed one.
 fn seed_snapshot() -> String {
-    let mut rt = ctr_runtime::Runtime::new();
+    let rt = ctr_runtime::Runtime::new();
     rt.deploy_source("workflow pay { graph invoice * (approve # audit) * archive; }")
         .unwrap();
     rt.deploy_source("workflow ship { graph pick * pack * dispatch; }")
@@ -31,7 +31,7 @@ fn seed_wal(tag: &str, n: u64, checkpoint: bool) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("ctr_fuzz_wal_{tag}_{}_{n}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let store = std::sync::Arc::new(ctr_runtime::WalStore::open(&dir).unwrap());
-    let mut rt = ctr_runtime::Runtime::with_store(store);
+    let rt = ctr_runtime::Runtime::with_store(store);
     rt.deploy_source("workflow pay { graph invoice * (approve # audit) * archive; }")
         .unwrap();
     let a = rt.start("pay").unwrap();

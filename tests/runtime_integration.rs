@@ -30,7 +30,7 @@ fn constraints() -> Vec<Constraint> {
 /// reimplemented related-work validators.
 #[test]
 fn runtime_journals_satisfy_constraints_per_baselines() {
-    let mut rt = Runtime::new();
+    let rt = Runtime::new();
     rt.deploy_source(SPEC).unwrap();
     let validator = PassiveValidator::new(&constraints());
     let product = ProductScheduler::new(&constraints());
@@ -125,7 +125,7 @@ fn simulation_reflects_constraint_structure() {
 #[test]
 fn per_fire_work_is_flat_in_journal_length() {
     let n = 10_000usize;
-    let mut rt = Runtime::new();
+    let rt = Runtime::new();
     rt.deploy_compiled("pipe", ctr::gen::pipeline_workflow(n))
         .unwrap();
     let id = rt.start("pipe").unwrap();
@@ -145,7 +145,7 @@ fn per_fire_work_is_flat_in_journal_length() {
     assert!(restored.is_complete(id).unwrap());
 
     // Explicit cache invalidation replays the journal exactly once more.
-    let mut rt = restored;
+    let rt = restored;
     rt.invalidate(id).unwrap();
     assert_eq!(rt.replayed_steps(), 2 * n as u64);
     assert!(rt.is_complete(id).unwrap());
@@ -226,7 +226,7 @@ mod cursor_oracle {
             prop_assume!(!events.is_empty());
             let mut batched = Runtime::new();
             prop_assume!(batched.deploy_compiled("w", goal.clone()).is_ok());
-            let mut single = Runtime::new();
+            let single = Runtime::new();
             single.deploy_compiled("w", goal).unwrap();
             let id = batched.start("w").unwrap();
             single.start("w").unwrap();
@@ -295,7 +295,7 @@ mod cursor_oracle {
 /// a driver thread restore correctly at any point.
 #[test]
 fn concurrent_drive_and_snapshot() {
-    let rt = ctr_runtime::SharedRuntime::new();
+    let rt = Runtime::new();
     rt.deploy_source(SPEC).unwrap();
     let ids: Vec<_> = (0..6).map(|_| rt.start("claims").unwrap()).collect();
     let drivers: Vec<_> = ids

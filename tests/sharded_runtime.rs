@@ -41,7 +41,7 @@ fn next(state: &mut u64) -> u64 {
 /// Replays `journal` on a fresh single-threaded runtime; every event must
 /// be accepted in order (the oracle for per-instance linearizability).
 fn replay_oracle(journal: &[String]) -> Result<Runtime, RuntimeError> {
-    let mut oracle = Runtime::new();
+    let oracle = Runtime::new();
     oracle.deploy_source(SPEC)?;
     let id = oracle.start("claims")?;
     for event in journal {
